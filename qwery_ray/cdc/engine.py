@@ -69,18 +69,25 @@ def key_hash_partition(repo: pa.ChunkedArray, path: pa.ChunkedArray,
     return key_hash_partition_cols([repo, path], num_partitions)
 
 
+def joined_key(cols) -> pa.Array:
+    """n key columns → one string array: each value cast to string, the
+    parts joined by NUL (NULL if any part is NULL). The partition hash is
+    taken over it, and it is the key-membership value of the lake MERGE."""
+    str_cols = [pc.cast(c, pa.string()) for c in cols]
+    joined = str_cols[0] if len(str_cols) == 1 else \
+        pc.binary_join_element_wise(*str_cols, "\x00")
+    return joined.combine_chunks() if isinstance(joined, pa.ChunkedArray) \
+        else joined
+
+
 def key_hash_partition_cols(cols, num_partitions: int) -> np.ndarray:
     """Generalized n-column key → partition id."""
     import polars as pl
 
-    str_cols = [pc.cast(c, pa.string()) for c in cols]
-    joined = str_cols[0] if len(str_cols) == 1 else \
-        pc.binary_join_element_wise(*str_cols, "\x00")
-    arr = joined.combine_chunks() if isinstance(joined, pa.ChunkedArray) else joined
     # polars xxhash with a fixed seed: vectorized, value-stable across arrays
     # and processes (pandas hash_array is NOT value-stable across arrays;
     # Python hash() is process-salted)
-    hashed = pl.from_arrow(arr).hash(seed=42).to_numpy()
+    hashed = pl.from_arrow(joined_key(cols)).hash(seed=42).to_numpy()
     return (hashed % np.uint64(num_partitions)).astype(np.int64)
 
 
@@ -1282,28 +1289,8 @@ class CDCLakeEngine:
                  if info["rows"] > 0]
         if not parts:
             # visible snapshot is EMPTY (fresh lake or every key
-            # tombstoned): recover the REAL row schema from the committed
-            # partition files (0-row files keep their schema; UNIFIED
-            # across all of them so additive evolution's newest columns
-            # survive even if the first partition predates them); a truly
-            # file-less lake falls back to this lake's OWN key columns
-            schemas = []
-            for info in manifest["partitions"].values():
-                fp = os.path.join(self.lake_dir, info.get("file") or "")
-                if info.get("file") and os.path.exists(fp):
-                    schemas.append(pq.read_schema(fp))
-            if schemas:
-                try:
-                    sch = pa.unify_schemas(schemas)
-                except pa.ArrowTypeError:
-                    sch = pa.unify_schemas(schemas,
-                                           promote_options="permissive")
-                drop = [c for c in ("op", "pkey") if c in sch.names]
-                if drop:
-                    sch = pa.schema([f for f in sch if f.name not in drop])
-                return rd.from_arrow(sch.empty_table())
-            return rd.from_arrow(pa.table({c: pa.array([], type=pa.string())
-                                           for c in self.key_cols}))
+            # tombstoned): 0-row files keep the REAL row schema
+            return rd.from_arrow(self.schema(manifest).empty_table())
         if not any(info.get("deltas") for info in parts):
             return rd.read_parquet(
                 [os.path.join(self.lake_dir, info["file"])
@@ -1327,6 +1314,28 @@ class CDCLakeEngine:
 
         return rd.from_items(specs, override_num_blocks=len(specs)) \
             .map_batches(resolve_spec, batch_format="pyarrow", batch_size=1)
+
+    def schema(self, manifest: Optional[dict] = None) -> pa.Schema:
+        """The lake's row schema from the footers of every committed base
+        and delta file, UNIFIED: additive evolution leaves a new column in
+        the files of the partitions that took it, so no single file is the
+        authority. A file-less lake falls back to its OWN key columns."""
+        manifest = manifest or self.load_manifest()
+        schemas = []
+        for info in manifest["partitions"].values():
+            for rel in [info.get("file")] + [
+                    d["file"] for d in info.get("deltas") or []]:
+                fp = os.path.join(self.lake_dir, rel or "")
+                if rel and os.path.exists(fp):
+                    schemas.append(pq.read_schema(fp))
+        if not schemas:
+            return pa.schema([pa.field(c, pa.string())
+                              for c in self.key_cols])
+        try:
+            sch = pa.unify_schemas(schemas)
+        except pa.ArrowTypeError:
+            sch = pa.unify_schemas(schemas, promote_options="permissive")
+        return pa.schema([f for f in sch if f.name not in ("op", "pkey")])
 
     def table(self, version: Optional[int] = None) -> pa.Table:
         """Driver-side materialization — tests/small lakes only."""

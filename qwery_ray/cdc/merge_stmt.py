@@ -21,12 +21,19 @@ path is adaptive:
   row-identity bookkeeping that duplicate-key targets need is inherently
   driver-side — use the small path or the lake engine for those).
 
-Lake-scale merges flow through the exactly-once CDC engine
-(``UPSERT INTO ... WITH LAKE`` / ``CDCLakeEngine.replay``), which
-implements the same matched/not-matched semantics via LWW events.
+A LAKE target (a directory with ``manifest.json``) merges
+CO-PARTITIONED with the lake (:func:`_co_partitioned_merge`): each source
+row is tagged with the lake partition its key hashes to, and one
+``groupby(pid).map_groups`` task per touched partition reads only that
+partition's files and only the rows whose key the source names, then runs
+the same :func:`_apply_merge`. Work scales with the partitions and keys
+the source reaches; only the source is shuffled, never the lake. A ``NOT
+MATCHED BY SOURCE`` arm can reach every row, so it reads the whole lake.
+The changed rows commit as ONE exactly-once transaction of LWW events
+through ``CDCLakeEngine.replay``.
 
-ANSI semantics implemented (both paths — the bucket task calls the same
-function the driver path does):
+ANSI semantics implemented (every path — the bucket and partition tasks
+call the same function the driver path does):
 - ON must contain at least one target-column = source-column equality;
   remaining conjuncts become a residual filter on the joined pairs.
 - A target row matched by MORE than one source row raises a cardinality
@@ -41,6 +48,9 @@ function the driver path does):
 from __future__ import annotations
 
 import os
+import threading
+import time
+import uuid
 
 import numpy as np
 import pandas as pd
@@ -533,6 +543,7 @@ def _merge_distributed(stmt: A.Merge, path: str, src_ds, ta: str, sa: str,
     duplicate target keys, two physically distinct but value-identical
     target rows in one bucket cannot be told apart without driver-side
     row identity. Those targets use the small path / lake engine."""
+    import pyarrow.compute as pc
     import ray.data as rd
 
     from ..ops.dedup import _drop_empty_blocks
@@ -572,18 +583,18 @@ def _merge_distributed(stmt: A.Merge, path: str, src_ds, ta: str, sa: str,
 
     # stream the final rows to disk; counts fold batch-by-batch — driver
     # memory is O(batch) regardless of target size
-    n_ins = n_upd = n_del = 0
+    counts = {"i": 0, "u": 0, "d": 0, "k": 0}
     tmp = path + ".tmp"
     writer = None
     try:
         for b in tagged_ds.iter_batches(batch_size=65536,
                                         batch_format="pyarrow"):
-            acts = b.column(_ACTION).to_pylist()
-            n_ins += sum(1 for a in acts if a == "i")
-            n_upd += sum(1 for a in acts if a == "u")
-            n_del += sum(1 for a in acts if a == "d")
-            keep = b.filter(
-                pa.array([a != "d" for a in acts])).drop_columns([_ACTION])
+            acts = b.column(_ACTION)
+            vc = pc.value_counts(acts)
+            for a, n in zip(vc.field("values").to_pylist(),
+                            vc.field("counts").to_pylist()):
+                counts[a] += n
+            keep = b.filter(pc.not_equal(acts, "d")).drop_columns([_ACTION])
             if writer is None:
                 writer = pq.ParquetWriter(tmp, keep.schema)
             writer.write_table(keep)
@@ -593,29 +604,109 @@ def _merge_distributed(stmt: A.Merge, path: str, src_ds, ta: str, sa: str,
         if writer is not None:
             writer.close()
     os.replace(tmp, path)  # atomic visibility point
-    return pa.table({"ROWS_INSERTED": [n_ins], "ROWS_UPDATED": [n_upd],
-                     "ROWS_DELETED": [n_del], "ROWS_REJECTED": [0]})
+    return pa.table({"ROWS_INSERTED": [counts["i"]],
+                     "ROWS_UPDATED": [counts["u"]],
+                     "ROWS_DELETED": [counts["d"]], "ROWS_REJECTED": [0]})
+
+
+class _MergeLock:
+    """The merge-exclusive advisory lock file ``<lake>/_merge.lock``.
+
+    The holder writes an owner token (pid + uuid) into the file and
+    touches it every ``STALE_S / 10`` seconds while it holds it, so a live
+    holder never looks stale however long its merge runs. A waiter breaks a
+    lock only if it is older than ``STALE_S`` (its holder crashed) and
+    still holds the token the waiter first read; a release removes the
+    file only if it still holds our own token, so a holder whose lock was
+    broken never deletes its successor's lock."""
+
+    STALE_S = 300.0
+    WAIT_S = 60.0
+    POLL_S = 0.2
+
+    def __init__(self, path: str):
+        self.path = path
+        self.token = f"{os.getpid()}-{uuid.uuid4().hex}"
+        self._stop = None
+
+    def _read(self):
+        try:
+            with open(self.path) as f:
+                return f.read()
+        except FileNotFoundError:
+            return None
+
+    def _age(self) -> float:
+        try:
+            return time.time() - os.path.getmtime(self.path)
+        except FileNotFoundError:
+            return 0.0
+
+    def acquire(self) -> None:
+        deadline = time.monotonic() + self.WAIT_S
+        while True:
+            try:
+                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                held = self._read()
+                if held is not None and self._age() > self.STALE_S \
+                        and self._read() == held:
+                    try:
+                        os.remove(self.path)  # stale: holder crashed
+                    except FileNotFoundError:
+                        pass
+                    continue
+                if time.monotonic() > deadline:
+                    raise RuntimeError(
+                        f"MERGE INTO lake: could not acquire {self.path} — "
+                        f"another merge holds it ({held!r}); remove the "
+                        f"lock file if its holder is gone")
+                time.sleep(self.POLL_S)
+                continue
+            with os.fdopen(fd, "w") as f:
+                f.write(self.token)
+            return
+
+    def release(self) -> None:
+        if self._read() == self.token:
+            try:
+                os.remove(self.path)
+            except FileNotFoundError:
+                pass
+
+    def _heartbeat(self) -> None:
+        while not self._stop.wait(self.STALE_S / 10):
+            if self._read() != self.token:
+                return
+            try:
+                os.utime(self.path)
+            except OSError:
+                return
+
+    def __enter__(self) -> "_MergeLock":
+        self.acquire()
+        self._stop = threading.Event()
+        threading.Thread(target=self._heartbeat, daemon=True).start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stop.set()
+        self.release()
 
 
 def merge_into_lake(session, stmt: A.Merge, path: str) -> pa.Table:
     """ANSI MERGE INTO an exactly-once CDC LAKE target (r5 superset).
 
-    Semantics: the merge runs against the lake\'s CURRENT committed LWW
-    snapshot via the same distributed bucket core as the file path, then
-    the resulting actions become ONE transaction of LWW events — updates
-    and inserts as ``upsert`` rows, deletes as ``delete`` tombstones —
-    with fresh LSNs above the watermark, replayed through the lake
-    engine (OCC, deltas, time travel all apply). The ON keys must be
-    exactly the lake\'s key columns; unchanged keys produce no events.
-    Reference parity: ops/sql/Upsert.scala is the row-at-a-time
+    Semantics: the merge runs against the lake's CURRENT committed LWW
+    snapshot, co-partitioned with it (see :func:`_co_partitioned_merge`):
+    only the source is shuffled, and only the lake partitions and keys the
+    source can reach are read. The resulting actions become ONE transaction
+    of LWW events — updates and inserts as ``upsert`` rows, deletes as
+    ``delete`` tombstones — with fresh LSNs above the watermark, replayed
+    through the lake engine (OCC, deltas, time travel all apply). The ON
+    keys must be exactly the lake's key columns; unchanged keys produce no
+    events. Reference parity: ops/sql/Upsert.scala is the row-at-a-time
     ancestor; the arms are the SQL:2003 superset."""
-    import shutil
-    import tempfile
-
-    import pyarrow.compute as pc
-    import ray
-    import ray.data as rd
-
     from ..ops.dedup import _drop_empty_blocks
     from ..sqlc.compiler import _env as compiler_env
     from .engine import CDCLakeEngine
@@ -629,14 +720,6 @@ def merge_into_lake(session, stmt: A.Merge, path: str) -> pa.Table:
     lazy_schema = _lazy_source_schema(src_ds)
     src_mat = _drop_empty_blocks(src_ds.materialize())
 
-    def only_changes(t: pa.Table) -> pa.Table:
-        return t.filter(pc.not_equal(t.column(_ACTION), "k"))
-
-    def action_counts(t: pa.Table) -> pa.Table:
-        # per-block fold — counting must not cost an all-to-all shuffle
-        vc = pc.value_counts(t.column(_ACTION).combine_chunks())
-        return pa.table({"a": vc.field("values"), "n": vc.field("counts")})
-
     # Optimistic concurrency: the merge computes against the snapshot at
     # watermark ``wm`` and stamps its events wm+1…; replay applies
     # ALL-OR-NOTHING via expect_watermark (its return carries an explicit
@@ -646,47 +729,13 @@ def merge_into_lake(session, stmt: A.Merge, path: str) -> pa.Table:
     # expect-check in the same window would last-rename-wins clobber one
     # manifest). Non-merge writers (UPSERT … WITH LAKE) are still free:
     # their commits flip the watermark and this loop recomputes.
-    lock_path = os.path.join(path, "_merge.lock")
-
-    def _acquire_lock():
-        import time as _t
-
-        for _ in range(300):  # ≤60 s, then break a stale (crashed) lock
-            try:
-                fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.write(fd, str(os.getpid()).encode())
-                os.close(fd)
-                return
-            except FileExistsError:
-                try:
-                    import time as _tt
-
-                    if _tt.time() - os.path.getmtime(lock_path) > 300:
-                        os.remove(lock_path)  # stale: holder crashed
-                        continue
-                except OSError:
-                    pass
-                _t.sleep(0.2)
-        raise RuntimeError(
-            f"MERGE INTO lake: could not acquire {lock_path} — another "
-            f"merge appears stuck; remove the lock file if its holder "
-            f"is gone")
-
-    _acquire_lock()
-    try:
-        return _run_lake_merge_attempts(
-            session, stmt, path, eng, ta, sa, env, src_mat, lazy_schema,
-            only_changes, action_counts)
-    finally:
-        try:
-            os.remove(lock_path)
-        except OSError:
-            pass
+    with _MergeLock(os.path.join(path, "_merge.lock")):
+        return _run_lake_merge_attempts(stmt, eng, ta, sa, env, src_mat,
+                                        _source_schema(src_mat, lazy_schema))
 
 
-def _run_lake_merge_attempts(session, stmt, path, eng, ta, sa, env,
-                             src_mat, lazy_schema, only_changes,
-                             action_counts) -> pa.Table:
+def _run_lake_merge_attempts(stmt, eng, ta, sa, env, src_mat,
+                             sschema) -> pa.Table:
     import shutil
     import tempfile
 
@@ -694,70 +743,53 @@ def _run_lake_merge_attempts(session, stmt, path, eng, ta, sa, env,
     import ray
     import ray.data as rd
 
+    from .upsert import block_offsets
+
     for _attempt in range(5):
         m0 = eng.load_manifest()
-        wm, v0 = int(m0["watermark_lsn"]), int(m0["version"])
-        ds_t = eng.dataset()
-        base = ds_t.schema(fetch_if_missing=True)
-        tschema = getattr(base, "base_schema", None) or pa.schema([])
-        sschema = _source_schema(src_mat, lazy_schema)
+        wm = int(m0["watermark_lsn"])
+        tschema = eng.schema(m0)
         tkeys, skeys = _split_on_keys(stmt, ta, sa, tschema, sschema)
         if {k.lower() for k in tkeys} != {k.lower() for k in eng.key_cols}:
             raise ValueError(
                 f"MERGE INTO a lake target must join on exactly the lake "
                 f"key columns {eng.key_cols}, got {tkeys}")
-
-        tagged = _tagged_merge_core(stmt, ds_t, tschema, sschema, src_mat,
-                                    ta, sa, env, tkeys, skeys)
-        changes = tagged.map_batches(only_changes,
-                                     batch_format="pyarrow").materialize()
+        skey_of = {t.lower(): s for t, s in zip(tkeys, skeys)}
+        changes = _co_partitioned_merge(
+            stmt, eng, m0, tschema, sschema, src_mat, ta, sa, env,
+            [skey_of[k.lower()] for k in eng.key_cols])
+        n_changed = changes.count() if changes is not None else 0
         counts = {"i": 0, "u": 0, "d": 0}
-        cdf = changes.map_batches(action_counts,
-                                  batch_format="pyarrow").to_pandas()
-        for a, n in zip(cdf.get("a", []), cdf.get("n", [])):
-            counts[a] = counts.get(a, 0) + int(n)
-        n_changed = sum(counts.values())
         if n_changed == 0:
             break  # no events → nothing to commit, race-free by nature
-
-        if counts.get("i"):
-            # a keyed lake cannot hold duplicate keys: two NOT MATCHED
-            # inserts for the same key would silently LWW-collapse to one
-            # row while counts said two (the file path inserts both) —
-            # reject loudly instead. Narrow columns only; shuffles just
-            # the insert rows.
-            ins_keys = changes.map_batches(
-                lambda t: t.filter(pc.equal(t.column(_ACTION), "i"))
-                .select(eng.key_cols), batch_format="pyarrow")
-            if (ins_keys.groupby(eng.key_cols).count()
-                    .max("count()") or 0) > 1:
-                raise ValueError(
-                    "MERGE INTO lake: duplicate source keys on NOT "
-                    "MATCHED inserts — a keyed lake cannot hold "
-                    "duplicate keys; dedup the source first")
 
         # fresh LSNs above the watermark via per-block offsets (shared
         # primitive with the UPSERT pre-reduce; unknown counts resolve by
         # remote len() — rows never leave the object store)
-        from .upsert import block_offsets
-
         pairs = block_offsets(changes)
 
-        @ray.remote
-        def to_events(block, off: int, wm: int = wm) -> pa.Table:
+        @ray.remote(num_returns=2)
+        def to_events(block, off: int, wm: int = wm):
             if not isinstance(block, pa.Table):
                 block = pa.Table.from_pandas(block, preserve_index=False)
-            op = pc.if_else(pc.equal(block.column(_ACTION), "d"),
+            acts = block.column(_ACTION)
+            vc = pc.value_counts(acts)
+            op = pc.if_else(pc.equal(acts, "d"),
                             pa.scalar("delete"), pa.scalar("upsert"))
             drop = [_ACTION] + (["lsn"] if "lsn" in block.column_names
                                 else [])
             block = block.drop_columns(drop)
             lsns = np.arange(off, off + len(block), dtype=np.int64) + wm + 1
-            return block.append_column("lsn", pa.array(lsns)) \
-                .append_column("op", op)
+            return (block.append_column("lsn", pa.array(lsns))
+                    .append_column("op", op),
+                    dict(zip(vc.field("values").to_pylist(),
+                             vc.field("counts").to_pylist())))
 
-        ev = rd.from_arrow_refs(
-            [to_events.remote(r, o) for r, o in pairs])
+        refs = [to_events.remote(r, o) for r, o in pairs]
+        for block_counts in ray.get([c for _, c in refs]):
+            for a, n in block_counts.items():
+                counts[a] += n
+        ev = rd.from_arrow_refs([e for e, _ in refs])
         staging = tempfile.mkdtemp(prefix="qwery_merge_events_")
         try:
             ev.write_parquet(staging)
@@ -781,3 +813,123 @@ def _run_lake_merge_attempts(session, stmt, path, eng, ta, sa, env,
                      "ROWS_UPDATED": [counts["u"]],
                      "ROWS_DELETED": [counts["d"]],
                      "ROWS_REJECTED": [0]})
+
+
+def _conform(t, schema: pa.Schema) -> pa.Table:
+    """``t`` (a table or None) with exactly ``schema``'s columns in its
+    order: columns it lacks become NULL, the others are cast."""
+    import pyarrow.compute as pc
+
+    n = t.num_rows if t is not None else 0
+    cols = []
+    for f in schema:
+        if t is not None and f.name in t.column_names:
+            c = t.column(f.name)
+            cols.append(c if c.type == f.type else pc.cast(c, f.type))
+        else:
+            cols.append(pa.nulls(n, f.type))
+    return pa.Table.from_arrays(cols, schema=schema)
+
+
+def _co_partitioned_merge(stmt: A.Merge, eng, manifest: dict,
+                          tschema: pa.Schema, sschema: pa.Schema, src_mat,
+                          ta: str, sa: str, env: dict, skeys: list):
+    """The lake MERGE core, co-partitioned with the lake: each source row
+    is tagged with its lake partition id (the replay's key hash over the
+    source ON-key columns ``skeys``, in lake key order and cast to the
+    lake's key types), and ``groupby(pid).map_groups`` runs one
+    :func:`_apply_merge` per touched partition. Key equality makes every
+    MERGE decision partition-local, including the ANSI cardinality check
+    and the duplicate-insert check. A task reads only its partition's base
+    and delta files, keeps only the rows whose key is in its source slice,
+    resolves them and widens them to the lake schema ``tschema``. A ``NOT
+    MATCHED BY SOURCE`` arm can reach every row, so then every partition
+    runs unpruned (one marker row per partition joins the stream). Only
+    the source is shuffled, never the lake. Returns the materialized
+    changed rows (``tschema`` + ``__mrg_action``), or None when no task
+    has anything to do."""
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from ..ops.dedup import _drop_empty_blocks
+    from .engine import joined_key, key_hash_partition_cols, \
+        resolve_with_deltas
+
+    key_cols = list(eng.key_cols)
+    key_types = [tschema.field(k).type for k in key_cols]
+    nparts = int(manifest.get("num_partitions") or eng.num_partitions)
+    lake_dir = eng.lake_dir
+    files = {int(pid): [info["file"]] + [d["file"] for d in
+                                         info.get("deltas") or []]
+             for pid, info in manifest["partitions"].items()
+             if info.get("file")}
+    reach_all = any(arm.matched == "not_matched_by_source"
+                    for arm in stmt.whens)
+
+    def source_keys(t: pa.Table) -> list:
+        out = []
+        for sk, typ in zip(skeys, key_types):
+            c = t.column(sk)
+            try:
+                out.append(c if c.type == typ else pc.cast(c, typ))
+            except (pa.ArrowInvalid, pa.ArrowNotImplementedError) as exc:
+                raise ValueError(
+                    f"MERGE INTO lake: source key {sk!r} ({c.type}) does "
+                    f"not cast to the lake key type {typ}: {exc}") from exc
+        return out
+
+    def tag(t: pa.Table) -> pa.Table:
+        t = _conform(t, sschema)
+        pid = key_hash_partition_cols(source_keys(t), nparts)
+        return t.append_column("__pid", pa.array(pid)) \
+            .append_column("__src", pa.array(np.ones(len(t), np.int8)))
+
+    streams = []
+    if src_mat.count():
+        streams.append(src_mat.map_batches(tag, batch_format="pyarrow"))
+    if reach_all and files:
+        pids = sorted(files)
+        streams.append(rd.from_arrow(pa.table(
+            {**{f.name: pa.nulls(len(pids), f.type) for f in sschema},
+             "__pid": pa.array(pids, pa.int64()),
+             "__src": pa.nulls(len(pids), pa.int8())})))
+    if not streams:
+        return None
+    tagged = streams[0].union(*streams[1:]) if len(streams) > 1 \
+        else streams[0]
+    out_schema = pa.schema(list(tschema) + [pa.field(_ACTION, pa.string())])
+
+    def merge_partition(g: pa.Table) -> pa.Table:
+        pid = int(g.column("__pid")[0].as_py())
+        src = g.filter(pc.is_valid(g.column("__src"))).select(sschema.names)
+        keep = None if reach_all else joined_key(source_keys(src))
+        tabs = []
+        for rel in files.get(pid, []):
+            t = pq.read_table(os.path.join(lake_dir, rel))
+            if keep is not None:
+                t = t.filter(pc.is_in(
+                    joined_key([t.column(k) for k in key_cols]),
+                    value_set=keep))
+            tabs.append(t)
+        cur = resolve_with_deltas(tabs[0], tabs[1:], key_cols) \
+            if tabs else None
+        # ArrowDtype round-trip: plain to_pandas() flips int64-with-NULL
+        # to float64 and silently corrupts values >= 2^53
+        tagged = _apply_merge(
+            _conform(cur, tschema).to_pandas(types_mapper=pd.ArrowDtype),
+            src.to_pandas(types_mapper=pd.ArrowDtype), stmt, ta, sa, env)
+        changed = tagged[tagged[_ACTION] != "k"]
+        if changed[changed[_ACTION] == "i"].duplicated(subset=key_cols).any():
+            # a keyed lake cannot hold duplicate keys: two NOT MATCHED
+            # inserts for the same key would silently LWW-collapse to one
+            # row while counts said two (the file path inserts both)
+            raise ValueError(
+                "MERGE INTO lake: duplicate source keys on NOT MATCHED "
+                "inserts — a keyed lake cannot hold duplicate keys; dedup "
+                "the source first")
+        return pa.Table.from_pandas(changed, schema=out_schema,
+                                    preserve_index=False)
+
+    return _drop_empty_blocks(
+        tagged.groupby("__pid").map_groups(
+            merge_partition, batch_format="pyarrow").materialize())

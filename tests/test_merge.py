@@ -1,5 +1,6 @@
 """ANSI MERGE INTO — semantics vs a hand-built expected state."""
 
+import json
 import os
 
 import pandas as pd
@@ -559,12 +560,50 @@ class TestBigSourceBounded:
         assert b.sort_values("k").v.tolist() == [10, 16, 18]
 
 
+def _write_events(dirpath, rows, extra=None):
+    """One parquet file of lake events ``(lsn, k, v, op)`` plus optional
+    extra columns."""
+    os.makedirs(dirpath, exist_ok=True)
+    cols = {"lsn": pa.array([r[0] for r in rows], pa.int64()),
+            "k": pa.array([r[1] for r in rows], pa.int64()),
+            "v": pa.array([r[2] for r in rows], pa.int64()),
+            "op": pa.array([r[3] for r in rows])}
+    cols.update(extra or {})
+    pq.write_table(pa.table(cols), os.path.join(dirpath, "e.parquet"))
+
+
+def _pid(k, nparts=4):
+    from qwery_ray.cdc.engine import key_hash_partition_cols
+
+    return int(key_hash_partition_cols([pa.array([k], pa.int64())],
+                                       nparts)[0])
+
+
+def _lake_rows(lake):
+    from qwery_ray.cdc.engine import CDCLakeEngine
+
+    t = CDCLakeEngine.open(lake).table()
+    return {r["k"]: r for r in t.to_pylist()}
+
+
+def _scramble_data_pages(path):
+    """Overwrite every byte between the leading magic and the footer: the
+    schema stays readable, any read of the data raises."""
+    with open(path, "rb") as f:
+        b = bytearray(f.read())
+    end = len(b) - 8 - int.from_bytes(b[-8:-4], "little")
+    b[4:end] = b"\xff" * (end - 4)
+    with open(path, "wb") as f:
+        f.write(b)
+
+
 @pytest.mark.usefixtures("ray_session")
 class TestMergeIntoLake:
     """r5 superset: ANSI MERGE INTO an exactly-once CDC lake target — the
-    arms run against the committed LWW snapshot via the distributed
-    bucket core, and the actions commit as ONE transaction of LWW events
-    (deletes as tombstones, fresh LSNs above the watermark)."""
+    arms run against the committed LWW snapshot, co-partitioned with the
+    lake (one task per partition the source reaches), and the actions
+    commit as ONE transaction of LWW events (deletes as tombstones, fresh
+    LSNs above the watermark)."""
 
     def _lake(self, tmp_path):
         from qwery_ray import QweryEngine
@@ -641,6 +680,283 @@ class TestMergeIntoLake:
         assert int(res.ROWS_INSERTED[0]) == 0
         after = json.load(open(f"{lake}/manifest.json"))["version"]
         assert after == before
+
+    # a 4-partition lake keyed on an int64 ``k``, with merge-on-read
+    # deltas pending; the source keys reach a subset of the partitions
+    NPARTS = 4
+
+    @pytest.fixture()
+    def lake(self, tmp_path):
+        from qwery_ray.cdc.engine import CDCLakeEngine
+
+        lake = str(tmp_path / "lake")
+        eng = CDCLakeEngine(lake, num_partitions=self.NPARTS, key_cols=["k"])
+        _write_events(str(tmp_path / "ev1"),
+                      [(k + 1, k, 10 * k, "upsert") for k in range(48)])
+        eng.replay(str(tmp_path / "ev1"))
+        # a small second txn (two updates, two deletes) stages deltas
+        # instead of rewriting the bases
+        _write_events(str(tmp_path / "ev2"),
+                      [(49, 0, -1, "upsert"), (50, 1, 0, "delete"),
+                       (51, 2, -2, "upsert"), (52, 3, 0, "delete")])
+        eng.replay(str(tmp_path / "ev2"))
+        m = eng.load_manifest()
+        assert any(info.get("deltas") for info in m["partitions"].values())
+        return lake
+
+    def _expected(self, lake, src, thresh=None, nmbs=None):
+        """Naive model of the statements below over the visible state."""
+        state = {k: r["v"] for k, r in _lake_rows(lake).items()}
+        src_keys = {k for k, _ in src}
+        for k, nv in src:
+            if k in state:
+                if thresh is not None and nv < thresh:
+                    del state[k]
+                else:
+                    state[k] = nv
+            else:
+                state[k] = nv
+        if nmbs:
+            for k in list(state):
+                if k not in src_keys:
+                    r = nmbs(k, state[k])
+                    if r is None:
+                        del state[k]
+                    else:
+                        state[k] = r
+        return state
+
+    def _merge(self, tmp_path, lake, src, arms):
+        vals = ", ".join(f"({k}, {nv})" for k, nv in src)
+        return _engine(tmp_path).sql(f"""
+            MERGE INTO '{lake}' AS tg USING (SELECT * FROM (VALUES {vals})
+                s(k, nv)) AS sr ON tg.k = sr.k {arms}""").to_pandas()
+
+    def test_three_arms_across_partitions_with_deltas(self, tmp_path, lake):
+        wm = json.load(open(os.path.join(lake, "manifest.json")))[
+            "watermark_lsn"]
+        before = _lake_rows(lake)
+        src = [(0, 5), (2, -7), (4, 44), (5, -3), (7, 77), (100, 1),
+               (101, -9)]
+        want = self._expected(lake, src, thresh=0)
+        res = self._merge(tmp_path, lake, src, """
+            WHEN MATCHED AND sr.nv < 0 THEN DELETE
+            WHEN MATCHED THEN UPDATE SET v = sr.nv
+            WHEN NOT MATCHED THEN INSERT (k, v) VALUES (sr.k, sr.nv)""")
+        assert (int(res.ROWS_UPDATED[0]), int(res.ROWS_DELETED[0]),
+                int(res.ROWS_INSERTED[0])) == (3, 2, 2)
+        after = _lake_rows(lake)
+        assert {k: r["v"] for k, r in after.items()} == want
+        for k, r in after.items():
+            if k in before and before[k]["v"] == r["v"]:
+                assert r["lsn"] == before[k]["lsn"]  # untouched row
+            else:
+                assert r["lsn"] > wm  # fresh LSN above the old watermark
+
+    def test_unreached_partitions_never_read(self, tmp_path, lake):
+        """Source keys that all hash to one partition: the merge must not
+        read the data of any other partition. Their data pages are
+        scrambled during the merge (footers intact) and restored after."""
+        from qwery_ray.cdc.engine import CDCLakeEngine
+
+        p0 = _pid(0)
+        src = [(k, 1000 + k) for k in range(8, 48) if _pid(k) == p0][:4]
+        src.append((next(k for k in range(200, 400) if _pid(k) == p0), 9))
+        want = self._expected(lake, src)
+        m = CDCLakeEngine.open(lake).load_manifest()
+        saved = {}
+        for pid, info in m["partitions"].items():
+            if int(pid) == p0:
+                continue
+            for rel in [info["file"]] + [d["file"] for d in
+                                          info.get("deltas") or []]:
+                path = os.path.join(lake, rel)
+                saved[path] = open(path, "rb").read()
+                _scramble_data_pages(path)
+        assert saved
+        try:
+            res = self._merge(tmp_path, lake, src, """
+                WHEN MATCHED THEN UPDATE SET v = sr.nv
+                WHEN NOT MATCHED THEN INSERT (k, v) VALUES (sr.k, sr.nv)""")
+        finally:
+            for path, data in saved.items():
+                with open(path, "wb") as f:
+                    f.write(data)
+        assert (int(res.ROWS_UPDATED[0]), int(res.ROWS_INSERTED[0])) == (4, 1)
+        assert {k: r["v"] for k, r in _lake_rows(lake).items()} == want
+
+    def test_nmbs_reaches_unsourced_partitions(self, tmp_path, lake):
+        p0 = _pid(0)
+        src = [(k, 1) for k in range(8, 48) if _pid(k) == p0][:2]
+        assert {_pid(k) for k in range(48)} - {p0}
+
+        def nmbs(k, v):
+            return None if v >= 400 else v + 1000
+
+        before = {k: r["v"] for k, r in _lake_rows(lake).items()}
+        unsourced = [v for k, v in before.items() if k not in dict(src)]
+        want = self._expected(lake, src, nmbs=nmbs)
+        res = self._merge(tmp_path, lake, src, """
+            WHEN MATCHED THEN UPDATE SET v = sr.nv
+            WHEN NOT MATCHED BY SOURCE AND tg.v >= 400 THEN DELETE
+            WHEN NOT MATCHED BY SOURCE THEN UPDATE SET v = tg.v + 1000""")
+        assert {k: r["v"] for k, r in _lake_rows(lake).items()} == want
+        assert int(res.ROWS_DELETED[0]) == sum(v >= 400 for v in unsourced)
+        assert int(res.ROWS_UPDATED[0]) == \
+            len(src) + sum(v < 400 for v in unsourced)
+
+    def test_empty_source_nmbs(self, tmp_path, lake):
+        pq.write_table(pa.table({"k": pa.array([1], pa.int64()),
+                                 "nv": pa.array([1], pa.int64())}),
+                       str(tmp_path / "src.parquet"))
+        before = {k: r["v"] for k, r in _lake_rows(lake).items()}
+        res = _engine(tmp_path).sql(f"""
+            MERGE INTO '{lake}' AS tg
+            USING (SELECT * FROM src WHERE nv > 99) AS sr ON tg.k = sr.k
+            WHEN MATCHED THEN UPDATE SET v = sr.nv
+            WHEN NOT MATCHED BY SOURCE AND tg.v < 100 THEN DELETE
+            WHEN NOT MATCHED BY SOURCE THEN UPDATE SET v = tg.v + 1
+        """).to_pandas()
+        want = {k: v + 1 for k, v in before.items() if v >= 100}
+        assert {k: r["v"] for k, r in _lake_rows(lake).items()} == want
+        assert int(res.ROWS_DELETED[0]) == len(before) - len(want)
+        assert int(res.ROWS_UPDATED[0]) == len(want)
+
+    def test_update_column_missing_from_some_partitions(self, tmp_path,
+                                                        lake):
+        """A txn adds column ``x`` on keys of one partition only; a MERGE
+        into another partition (whose files lack ``x``) sets it."""
+        from qwery_ray.cdc.engine import CDCLakeEngine
+
+        p0 = _pid(0)
+        ks = [k for k in range(8, 48) if _pid(k) == p0][:2]
+        _write_events(str(tmp_path / "ev3"),
+                      [(60 + i, k, 7, "upsert") for i, k in enumerate(ks)],
+                      extra={"x": pa.array(["new"] * len(ks))})
+        CDCLakeEngine.open(lake).replay(str(tmp_path / "ev3"))
+        m = CDCLakeEngine.open(lake).load_manifest()
+        other = next(k for k in range(8, 48) if _pid(k) != p0)
+        info = m["partitions"][str(_pid(other))]
+        for rel in [info["file"]] + [d["file"] for d in
+                                      info.get("deltas") or []]:
+            assert "x" not in pq.read_schema(os.path.join(lake, rel)).names
+        res = _engine(tmp_path).sql(f"""
+            MERGE INTO '{lake}' AS tg USING (SELECT * FROM (VALUES
+                ({other}, 'set')) s(k, nx)) AS sr ON tg.k = sr.k
+            WHEN MATCHED THEN UPDATE SET x = sr.nx""").to_pandas()
+        assert int(res.ROWS_UPDATED[0]) == 1
+        rows = _lake_rows(lake)
+        assert rows[other]["x"] == "set"
+        assert rows[other]["v"] == 10 * other
+        assert [rows[k]["x"] for k in ks] == ["new", "new"]
+        assert all(r["x"] is None for k, r in rows.items()
+                   if k not in ks and k != other)
+
+    def test_source_key_narrower_than_lake_key(self, tmp_path, lake):
+        """An int32 source key merges into the int64-keyed lake: keys
+        match by value and inserted keys keep the lake's type."""
+        from qwery_ray.cdc.engine import CDCLakeEngine
+
+        pq.write_table(pa.table({"k": pa.array([4, 6, 300], pa.int32()),
+                                 "nv": pa.array([40, 60, 3], pa.int64())}),
+                       str(tmp_path / "src32.parquet"))
+        want = self._expected(lake, [(4, 40), (6, 60), (300, 3)])
+        res = _engine(tmp_path).sql(f"""
+            MERGE INTO '{lake}' AS tg USING (SELECT * FROM src32) AS sr
+            ON tg.k = sr.k
+            WHEN MATCHED THEN UPDATE SET v = sr.nv
+            WHEN NOT MATCHED THEN INSERT (k, v) VALUES (sr.k, sr.nv)
+        """).to_pandas()
+        assert (int(res.ROWS_UPDATED[0]), int(res.ROWS_INSERTED[0])) == (2, 1)
+        assert {k: r["v"] for k, r in _lake_rows(lake).items()} == want
+        t = CDCLakeEngine.open(lake).table()
+        assert t.schema.field("k").type == pa.int64()
+
+
+def _locked_increments(lock_path, counter, n):
+    """Worker: ``n`` read-modify-write increments of ``counter``, each
+    under the merge lock."""
+    import time
+
+    from qwery_ray.cdc.merge_stmt import _MergeLock
+
+    _MergeLock.POLL_S = 0.005
+    for _ in range(n):
+        with _MergeLock(lock_path):
+            with open(counter) as f:
+                v = int(f.read())
+            time.sleep(0.002)
+            with open(counter, "w") as f:
+                f.write(str(v + 1))
+
+
+class TestMergeLock:
+    """The lake's ``_merge.lock``: an owner token decides who may remove
+    it."""
+
+    def test_contending_processes_lose_no_update(self, tmp_path):
+        import multiprocessing
+
+        lock, counter = str(tmp_path / "_merge.lock"), str(tmp_path / "n")
+        with open(counter, "w") as f:
+            f.write("0")
+        nproc = len(os.sched_getaffinity(0)) + 2
+        ctx = multiprocessing.get_context("spawn")
+        procs = [ctx.Process(target=_locked_increments,
+                             args=(lock, counter, 10))
+                 for _ in range(nproc)]
+        for p in procs:
+            p.start()
+        for p in procs:
+            p.join(timeout=120)
+        assert not any(p.is_alive() for p in procs)
+        assert [p.exitcode for p in procs] == [0] * nproc
+        assert int(open(counter).read()) == 10 * nproc
+        assert not os.path.exists(lock)
+
+    def test_foreign_token_survives_our_release(self, tmp_path):
+        from qwery_ray.cdc.merge_stmt import _MergeLock
+
+        path = str(tmp_path / "_merge.lock")
+        with _MergeLock(path) as lock:
+            assert open(path).read() == lock.token
+            # our lock was broken as stale and another merge took it
+            with open(path, "w") as f:
+                f.write("4242-foreign")
+        assert open(path).read() == "4242-foreign"
+
+    def test_only_a_stale_lock_is_broken(self, tmp_path, monkeypatch):
+        import time
+
+        from qwery_ray.cdc.merge_stmt import _MergeLock
+
+        monkeypatch.setattr(_MergeLock, "WAIT_S", 0.3)
+        path = str(tmp_path / "_merge.lock")
+        with open(path, "w") as f:
+            f.write("4242-live")
+        with pytest.raises(RuntimeError, match="could not acquire"):
+            _MergeLock(path).acquire()
+        assert open(path).read() == "4242-live"
+        old = time.time() - _MergeLock.STALE_S - 10
+        os.utime(path, (old, old))
+        lock = _MergeLock(path)
+        lock.acquire()
+        assert open(path).read() == lock.token
+        lock.release()
+        assert not os.path.exists(path)
+
+    def test_holder_keeps_its_lock_fresh(self, tmp_path, monkeypatch):
+        import time
+
+        from qwery_ray.cdc.merge_stmt import _MergeLock
+
+        monkeypatch.setattr(_MergeLock, "STALE_S", 0.5)
+        path = str(tmp_path / "_merge.lock")
+        with _MergeLock(path):
+            os.utime(path, (0, 0))
+            time.sleep(0.3)
+            assert time.time() - os.path.getmtime(path) < 0.5
+        assert not os.path.exists(path)
 
 
 @pytest.mark.usefixtures("ray_session")
