@@ -9,17 +9,16 @@ Scale contract: the SOURCE is always a full distributed query. The TARGET
 path is adaptive:
 
 - below :data:`MERGE_DISTRIBUTED_BYTES` the target parquet materializes
-  driver-side and the whole merge is one vectorized pandas pass
-  (dimension-table scale, atomic single-file replace);
+  driver-side and the whole merge is one :func:`_apply_merge` call over
+  Arrow tables (dimension-table scale, atomic single-file replace);
 - above it, the merge runs DISTRIBUTED: target and source are widened to
   one combined schema with presence markers, hash-bucketed by the ON equi
   key (one shuffle, no join operator), and each bucket runs the identical
   :func:`_apply_merge` semantics in a ``groupby(bucket).map_groups`` task.
   The driver never materializes the target — final rows stream back
-  batch-by-batch into the output file. The distributed path requires the
-  target's ON key to be UNIQUE over non-null keys (checked; the
-  row-identity bookkeeping that duplicate-key targets need is inherently
-  driver-side — use the small path or the lake engine for those).
+  batch-by-batch into the output file. Targets with duplicate ON keys
+  merge on both paths: :func:`_apply_merge` tells target rows apart by
+  position, within the whole table or within a bucket.
 
 A LAKE target (a directory with ``manifest.json``) merges
 CO-PARTITIONED with the lake (:func:`_co_partitioned_merge`): each source
@@ -35,14 +34,22 @@ through ``CDCLakeEngine.replay``.
 ANSI semantics implemented (every path — the bucket and partition tasks
 call the same function the driver path does):
 - ON must contain at least one target-column = source-column equality;
-  remaining conjuncts become a residual filter on the joined pairs.
+  remaining conjuncts become a residual filter on the joined pairs. The
+  equi keys pair rows through :func:`qwery_ray.cdc.upsert._pair_keys`, so
+  a NULL key equals a NULL key (unlike ANSI ``NULL = NULL``), and
+  ``(1, NULL)`` differs from ``(2, NULL)``.
 - A target row matched by MORE than one source row raises a cardinality
   violation (SQL:2003 14.9 GR 6b — nondeterministic update otherwise).
 - WHEN arms evaluate in statement order; the FIRST arm whose condition
-  holds acts on the row; later arms never see it.
+  holds acts on the row; later arms never see it. An arm's expressions
+  are evaluated over the rows it acts on only.
 - NOT MATCHED [BY TARGET] sees source rows with no surviving pair;
   NOT MATCHED BY SOURCE (T-SQL/Databricks extension) sees target rows
   with no surviving pair.
+- Updated values are cast to the target column's type; inserted rows join
+  the target under the single-file writer's schema policy (column union,
+  permissive numeric widening). Rewritten files carry no pandas schema
+  metadata.
 """
 
 from __future__ import annotations
@@ -53,12 +60,14 @@ import time
 import uuid
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..sqlc import ast as A
-from .upsert import _collect
+from ..sqlc.asof import PadToSchema
+from .upsert import _as_array, _collect_table, _pair_keys, _replace_file, \
+    _scatter, _union
 
 #: target files above this byte size merge distributed (hash-bucketed
 #: map_groups) instead of materializing on the driver. Tests monkeypatch
@@ -66,11 +75,6 @@ from .upsert import _collect
 MERGE_DISTRIBUTED_BYTES = 256 << 20
 
 _ACTION = "__mrg_action"  # k=kept, u=updated, d=deleted, i=inserted
-
-
-class MergeUniqueKeyError(ValueError):
-    """Distributed MERGE's unique-target-ON-key precondition failed —
-    the ONLY error the big-source driver fallback may catch."""
 
 
 def _conjuncts(cond) -> list:
@@ -123,193 +127,137 @@ def _split_on(stmt: A.Merge, ta: str, sa: str, tcols, scols, tmap, smap):
     return keys, residual
 
 
-def _apply_merge(target: pd.DataFrame, src: pd.DataFrame, stmt: A.Merge,
-                 ta: str, sa: str, env: dict) -> pd.DataFrame:
-    """The full ANSI merge over two in-memory frames → the final target
+def _apply_merge(target: pa.Table, src: pa.Table, stmt: A.Merge,
+                 ta: str, sa: str, env: dict) -> pa.Table:
+    """The full ANSI merge over two in-memory tables → the final target
     rows (target schema) plus an ``__mrg_action`` tag column
     (k/u/d/i; deleted rows are RETAINED and tagged so callers can both
-    count and drop them). Pure function of its inputs — the driver path
-    calls it once with the whole table, the distributed path calls it per
-    key-hash bucket (key-equality makes the semantics bucket-local)."""
+    count and drop them), inserted rows last. Pure function of its
+    inputs — the driver path calls it once with the whole table, the
+    distributed paths call it per key-hash bucket or lake partition
+    (key-equality makes the semantics bucket-local)."""
     from ..sqlc.compiler import make_evaluator
 
     ev = make_evaluator(env)
-    tcols = {c.lower() for c in target.columns}
-    scols = {c.lower() for c in src.columns}
-    tmap = {c.lower(): c for c in target.columns}
-    smap = {c.lower(): c for c in src.columns}
+    tcols = {c.lower() for c in target.column_names}
+    scols = {c.lower() for c in src.column_names}
+    tmap = {c.lower(): c for c in target.column_names}
+    smap = {c.lower(): c for c in src.column_names}
     keys, residual = _split_on(stmt, ta, sa, tcols, scols, tmap, smap)
 
-    # ---- candidate pairs (inner merge on the equi keys) ----------------
-    t = target.reset_index(drop=True).copy()
-    s = src.reset_index(drop=True).copy()
-    t["__tid"] = np.arange(len(t), dtype=np.int64)
-    s["__sid"] = np.arange(len(s), dtype=np.int64)
-    pairs = t.merge(s, left_on=[k[0] for k in keys],
-                    right_on=[k[1] for k in keys],
-                    how="inner", suffixes=("__t", "__s"))
-
-    def _qualified(df_pairs: pd.DataFrame) -> pa.Table:
-        """Pairs frame re-exposed with alias-qualified physical columns
-        (plus bare names where unambiguous — resolve_column's suffix
-        fallback handles those)."""
+    def qualified(t_rows=None, s_rows=None) -> pa.Table:
+        """The chosen target and/or source rows under alias-qualified
+        names (resolve_column's suffix fallback finds bare names)."""
         data = {}
-        for c in target.columns:
-            phys = c if c in df_pairs.columns else f"{c}__t"
-            data[f"{ta}.{c}"] = df_pairs[phys].to_numpy()
-        for c in src.columns:
-            phys = c if c in df_pairs.columns else f"{c}__s"
-            data[f"{sa}.{c}"] = df_pairs[phys].to_numpy()
-        return pa.Table.from_pandas(pd.DataFrame(data), preserve_index=False)
+        if t_rows is not None:
+            rows = pa.array(t_rows)
+            data.update((f"{ta}.{c}", target.column(c).take(rows))
+                        for c in target.column_names)
+        if s_rows is not None:
+            rows = pa.array(s_rows)
+            data.update((f"{sa}.{c}", src.column(c).take(rows))
+                        for c in src.column_names)
+        return pa.table(data)
 
-    if len(pairs) and residual:
-        batch = _qualified(pairs)
-        mask = np.ones(len(pairs), dtype=bool)
+    def first_match(kind: str, batch: pa.Table):
+        """(arm, selected batch rows) for every ``kind`` arm in statement
+        order: the FIRST arm whose condition holds claims the row."""
+        claimed = np.zeros(len(batch), dtype=bool)
+        for arm in stmt.whens:
+            if arm.matched != kind:
+                continue
+            m = ~claimed if arm.condition is None \
+                else np.asarray(ev.eval_mask(arm.condition, batch)) & ~claimed
+            claimed |= m
+            rows = np.flatnonzero(m)
+            if len(rows):
+                yield arm, rows
+
+    action = np.full(len(target), "k", dtype="<U1")
+    updates: dict[str, list] = {}  # target column -> [(rows, values)]
+
+    def act(arm, batch: pa.Table, rows: np.ndarray, tids: np.ndarray):
+        if arm.action == "delete":
+            action[tids] = "d"
+            return
+        action[tids] = "u"
+        sel = batch.take(pa.array(rows))
+        for name, expr in arm.assignments:
+            col = tmap.get(name.lower())
+            if col is None:
+                raise ValueError(
+                    f"MERGE UPDATE SET: unknown target column {name!r}")
+            updates.setdefault(col, []).append(
+                (tids, _as_array(ev.eval(expr, sel), len(sel))))
+
+    # ---- candidate pairs (null-safe equi join on the ON keys) ----------
+    tid, sid = _pair_keys(target, [k[0] for k in keys],
+                          src, [k[1] for k in keys])
+    pbatch = qualified(tid, sid)
+    if len(tid) and residual:
+        mask = np.ones(len(tid), dtype=bool)
         for c in residual:
-            mask &= np.asarray(ev.eval_mask(c, batch))
-        pairs = pairs[mask].reset_index(drop=True)
+            mask &= np.asarray(ev.eval_mask(c, pbatch))
+        tid, sid, pbatch = tid[mask], sid[mask], pbatch.filter(mask)
 
-    # ---- ANSI cardinality check ----------------------------------------
-    if len(pairs) and pairs["__tid"].duplicated().any():
-        dup = pairs["__tid"][pairs["__tid"].duplicated()].iloc[0]
+    # ---- ANSI cardinality check (tid is sorted) ------------------------
+    dup = np.flatnonzero(tid[1:] == tid[:-1])
+    if len(dup):
         raise ValueError(
             "MERGE cardinality violation: target row matched by multiple "
-            f"source rows (target row index {int(dup)}) — SQL:2003 14.9")
-
-    matched_tids = set(pairs["__tid"].tolist())
-    matched_sids = set(pairs["__sid"].tolist())
-
-    deletes: set[int] = set()
-    updates: dict[int, dict[str, object]] = {}
+            f"source rows (target row index {int(tid[dup[0]])}) — "
+            "SQL:2003 14.9")
 
     # ---- WHEN MATCHED arms (first match wins) ---------------------------
-    if len(pairs):
-        pbatch = _qualified(pairs)
-        claimed = np.zeros(len(pairs), dtype=bool)
-        for arm in stmt.whens:
-            if arm.matched != "matched":
-                continue
-            m = np.ones(len(pairs), dtype=bool) if arm.condition is None \
-                else np.asarray(ev.eval_mask(arm.condition, pbatch))
-            m = m & ~claimed
-            claimed |= m
-            rows = np.where(m)[0]
-            if not len(rows):
-                continue
-            if arm.action == "delete":
-                deletes.update(int(pairs["__tid"].iloc[i]) for i in rows)
-            else:  # update
-                for name, expr in arm.assignments:
-                    col = tmap.get(name.lower())
-                    if col is None:
-                        raise ValueError(
-                            f"MERGE UPDATE SET: unknown target column {name!r}")
-                    vals = ev.eval(expr, pbatch)
-                    vals = vals.to_pandas().to_numpy() \
-                        if isinstance(vals, (pa.Array, pa.ChunkedArray)) \
-                        else np.full(len(pairs), vals, dtype=object)
-                    for i in rows:
-                        updates.setdefault(
-                            int(pairs["__tid"].iloc[i]), {})[col] = vals[i]
+    if len(tid):
+        for arm, rows in first_match("matched", pbatch):
+            act(arm, pbatch, rows, tid[rows])
 
     # ---- WHEN NOT MATCHED (source side) --------------------------------
-    anti_s = s[~s["__sid"].isin(matched_sids)].reset_index(drop=True)
-    inserts: list[pd.DataFrame] = []
+    inserts: list[pa.Table] = []
+    anti_s = np.setdiff1d(np.arange(len(src)), sid)
     if len(anti_s):
-        sb = pa.Table.from_pandas(
-            pd.DataFrame({f"{sa}.{c}": anti_s[c].to_numpy()
-                          for c in src.columns}), preserve_index=False)
-        claimed = np.zeros(len(anti_s), dtype=bool)
-        for arm in stmt.whens:
-            if arm.matched != "not_matched":
-                continue
-            m = np.ones(len(anti_s), dtype=bool) if arm.condition is None \
-                else np.asarray(ev.eval_mask(arm.condition, sb))
-            m = m & ~claimed
-            claimed |= m
-            rows = np.where(m)[0]
-            if not len(rows):
-                continue
+        sb = qualified(s_rows=anti_s)
+        for arm, rows in first_match("not_matched", sb):
             if arm.insert_values is None:  # INSERT * — map by name
-                new = pd.DataFrame(index=range(len(rows)))
-                for c in target.columns:
-                    sc = smap.get(c.lower())
-                    new[c] = anti_s[sc].to_numpy()[rows] if sc is not None \
-                        else None
+                cols = {c: src.column(smap[c.lower()]).take(
+                            pa.array(anti_s[rows]))
+                        for c in target.column_names if c.lower() in smap}
             else:
-                cols = list(arm.insert_columns) or list(target.columns)
-                if len(cols) != len(arm.insert_values):
+                names = list(arm.insert_columns) or target.column_names
+                if len(names) != len(arm.insert_values):
                     raise ValueError(
                         "MERGE INSERT: column/value count mismatch")
-                new = pd.DataFrame(index=range(len(rows)))
-                for c in target.columns:
-                    new[c] = None
-                for cname, expr in zip(cols, arm.insert_values):
+                sel = sb.take(pa.array(rows))
+                cols = {}
+                for cname, expr in zip(names, arm.insert_values):
                     col = tmap.get(cname.lower())
                     if col is None:
                         raise ValueError(
                             f"MERGE INSERT: unknown target column {cname!r}")
-                    vals = ev.eval(expr, sb)
-                    vals = vals.to_pandas().to_numpy() \
-                        if isinstance(vals, (pa.Array, pa.ChunkedArray)) \
-                        else np.full(len(anti_s), vals, dtype=object)
-                    new[col] = vals[rows]
-            inserts.append(new)
+                    cols[col] = _as_array(ev.eval(expr, sel), len(sel))
+            new = pa.table({c: cols.get(c, pa.nulls(len(rows)))
+                            for c in target.column_names})
+            inserts.append(new.append_column(
+                _ACTION, pa.array(["i"] * len(rows), pa.string())))
 
     # ---- WHEN NOT MATCHED BY SOURCE (target side) -----------------------
-    anti_t_mask = ~t["__tid"].isin(matched_tids)
-    if anti_t_mask.any():
-        anti_t = t[anti_t_mask].reset_index(drop=True)
-        tb = pa.Table.from_pandas(
-            pd.DataFrame({f"{ta}.{c}": anti_t[c].to_numpy()
-                          for c in target.columns}), preserve_index=False)
-        claimed = np.zeros(len(anti_t), dtype=bool)
-        for arm in stmt.whens:
-            if arm.matched != "not_matched_by_source":
-                continue
-            m = np.ones(len(anti_t), dtype=bool) if arm.condition is None \
-                else np.asarray(ev.eval_mask(arm.condition, tb))
-            m = m & ~claimed
-            claimed |= m
-            rows = np.where(m)[0]
-            if not len(rows):
-                continue
-            if arm.action == "delete":
-                deletes.update(int(anti_t["__tid"].iloc[i]) for i in rows)
-            else:
-                for name, expr in arm.assignments:
-                    col = tmap.get(name.lower())
-                    if col is None:
-                        raise ValueError(
-                            f"MERGE UPDATE SET: unknown target column {name!r}")
-                    vals = ev.eval(expr, tb)
-                    vals = vals.to_pandas().to_numpy() \
-                        if isinstance(vals, (pa.Array, pa.ChunkedArray)) \
-                        else np.full(len(anti_t), vals, dtype=object)
-                    for i in rows:
-                        updates.setdefault(
-                            int(anti_t["__tid"].iloc[i]), {})[col] = vals[i]
+    anti_t = np.setdiff1d(np.arange(len(target)), tid)
+    if len(anti_t):
+        tb = qualified(t_rows=anti_t)
+        for arm, rows in first_match("not_matched_by_source", tb):
+            act(arm, tb, rows, anti_t[rows])
 
     # ---- assemble tagged final state -------------------------------------
-    out = target.reset_index(drop=True).copy()
-    action = np.full(len(out), "k", dtype=object)
-    for tid, cols in updates.items():
-        action[tid] = "u"
-        for col, val in cols.items():
-            out.at[tid, col] = val
-    if deletes:
-        action[list(deletes)] = "d"
-    out[_ACTION] = action
-    if inserts:
-        for new in inserts:
-            new[_ACTION] = "i"
-        # column-union concat: an EMPTY target still contributes its
-        # schema, and all-NA insert columns are pre-typed (no deprecated
-        # empty/all-NA dtype inference) — see upsert.concat_union
-        from .upsert import concat_union
-
-        out = concat_union([out] + inserts)
-    return out
+    out = target
+    for col, parts in updates.items():
+        typ = out.column(col).type
+        if pa.types.is_null(typ):
+            typ = parts[0][1].type
+        out = _scatter(out, np.concatenate([r for r, _ in parts]), col,
+                       pa.concat_arrays([v.cast(typ) for _, v in parts]))
+    out = out.append_column(_ACTION, pa.array(action, pa.string()))
+    return _union([out] + inserts) if inserts else out
 
 
 def merge_into_parquet(session, stmt: A.Merge) -> pa.Table:
@@ -337,48 +285,35 @@ def merge_into_parquet(session, stmt: A.Merge) -> pa.Table:
     # the dataset as _qwery_columns.
     lazy_schema = _lazy_source_schema(src_ds)
     src_ds = src_ds.materialize()
-    big_target = _path_bytes(path) > MERGE_DISTRIBUTED_BYTES
-    big_source = (src_ds.size_bytes() or 0) > MERGE_DISTRIBUTED_BYTES
-    if big_target or big_source:
-        try:
-            return _merge_distributed(stmt, path, src_ds, ta, sa, env,
-                                      sschema_hint=lazy_schema)
-        except MergeUniqueKeyError:
-            # fall back ONLY on the unique-key precondition (a dedicated
-            # type, not message matching); any other error (cardinality
-            # violation, bad arms …) must fail fast — retrying on the
-            # driver path would collect the whole source just to hit the
-            # same error
-            if big_target:
-                raise
-            # big source into a SMALL duplicate-key target: the
-            # distributed path's unique-key precondition failed, and only
-            # the driver path can tell value-identical target rows apart —
-            # documented limitation: this fallback collects the source.
+    if _path_bytes(path) > MERGE_DISTRIBUTED_BYTES or \
+            (src_ds.size_bytes() or 0) > MERGE_DISTRIBUTED_BYTES:
+        return _merge_distributed(stmt, path, src_ds, ta, sa, env,
+                                  sschema_hint=lazy_schema)
 
-    src = _collect(src_ds)
-    if src.shape[1] == 0:
-        # empty source: _collect saw no batches, so recover the column
-        # names from the pre-materialization schema (an all-arms merge
-        # against an empty source is still well-defined — NOT MATCHED BY
-        # SOURCE fires)
-        names = list(lazy_schema.names) if lazy_schema is not None else []
-        src = pd.DataFrame({n: pd.Series([], dtype="object") for n in names})
-    # ArrowDtype read: plain to_pandas() flips int64-with-NULL to float64
-    # and the rewrite would silently change the FILE's column type
-    target = pq.read_table(path).to_pandas(types_mapper=pd.ArrowDtype)
+    src = _collect_table(src_ds)
+    if not src.num_columns:
+        # empty source: recover the column names from the
+        # pre-materialization schema (an all-arms merge against an empty
+        # source is still well-defined — NOT MATCHED BY SOURCE fires)
+        src = _source_schema(src_ds, lazy_schema).empty_table()
+    tagged = _apply_merge(pq.read_table(path), src, stmt, ta, sa, env)
+    counts = _action_counts(tagged)
+    _replace_file(tagged.filter(pc.not_equal(tagged.column(_ACTION), "d"))
+                  .drop_columns([_ACTION]), path)
+    return _counts_table(counts)
 
-    tagged = _apply_merge(target, src, stmt, ta, sa, env)
-    n_ins = int((tagged[_ACTION] == "i").sum())
-    n_upd = int((tagged[_ACTION] == "u").sum())
-    n_del = int((tagged[_ACTION] == "d").sum())
-    out = tagged[tagged[_ACTION] != "d"].drop(columns=[_ACTION])
-    tmp = path + ".tmp"
-    pq.write_table(pa.Table.from_pandas(out.reset_index(drop=True),
-                                        preserve_index=False), tmp)
-    os.replace(tmp, path)  # atomic visibility point
-    return pa.table({"ROWS_INSERTED": [n_ins], "ROWS_UPDATED": [n_upd],
-                     "ROWS_DELETED": [n_del], "ROWS_REJECTED": [0]})
+
+def _action_counts(tagged: pa.Table) -> dict:
+    vc = pc.value_counts(tagged.column(_ACTION))
+    return dict(zip(vc.field("values").to_pylist(),
+                    vc.field("counts").to_pylist()))
+
+
+def _counts_table(counts: dict) -> pa.Table:
+    return pa.table({"ROWS_INSERTED": [counts.get("i", 0)],
+                     "ROWS_UPDATED": [counts.get("u", 0)],
+                     "ROWS_DELETED": [counts.get("d", 0)],
+                     "ROWS_REJECTED": [0]})
 
 
 def _path_bytes(path: str) -> int:
@@ -413,27 +348,20 @@ def _tagged_merge_core(stmt: A.Merge, ds_t, tschema: pa.Schema,
     from ..ops.dedup import _drop_empty_blocks
     from ..sqlc.compiler import AddBucketCol
 
+    conform = PadToSchema(
+        pa.schema(list(tschema) + [pa.field(_ACTION, pa.string())]))
     if src_mat.count() == 0:
         # EMPTY source: matched / not-matched arms can never fire — only
         # NOT MATCHED BY SOURCE applies, to EVERY target row. That is a
         # per-batch map (no pairing, no shuffle): run _apply_merge per
-        # target batch against an empty source frame. Also sidesteps the
+        # target batch against an empty source table. Also sidesteps the
         # zero-column empty blocks a materialized empty source carries
         # (Ray skips map UDFs on empty blocks, so widen_s could never
         # repair them before the bucket groupby).
-        empty_src = pd.DataFrame(
-            {f.name: pd.Series([], dtype="object") for f in sschema})
-        nm_schema = pa.schema(list(tschema) + [pa.field(_ACTION,
-                                                        pa.string())])
+        empty_src = sschema.empty_table()
 
         def nmbs_batch(t: pa.Table) -> pa.Table:
-            # ArrowDtype round-trip: plain to_pandas() flips
-            # int64-with-NULL to float64 and silently corrupts values
-            # >= 2^53 in the rewritten file
-            tagged = _apply_merge(t.to_pandas(types_mapper=pd.ArrowDtype),
-                                  empty_src, stmt, ta, sa, env)
-            return pa.Table.from_pandas(tagged, schema=nm_schema,
-                                        preserve_index=False)
+            return conform(_apply_merge(t, empty_src, stmt, ta, sa, env))
 
         return ds_t.map_batches(nmbs_batch,
                                 batch_format="pyarrow").materialize()
@@ -462,8 +390,6 @@ def _tagged_merge_core(stmt: A.Merge, ds_t, tschema: pa.Schema,
         return pa.table({k: cols[k] for k in order})
 
     def add_bucket_key(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         for i, (tk, sk) in enumerate(zip(tkeys, skeys)):
             t = t.append_column(
                 f"__bk{i}",
@@ -480,26 +406,14 @@ def _tagged_merge_core(stmt: A.Merge, ds_t, tschema: pa.Schema,
         .map_batches(AddBucketCol(bkcols, nbuckets, "__mb"),
                      batch_format="pyarrow")
 
-    out_schema = pa.schema(list(tschema) + [pa.field(_ACTION, pa.string())])
     t_names = [n for n, _ in tfields]
     s_names = [n for n, _ in sfields]
 
     def merge_bucket(g: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        tmask = pc.is_valid(g.column("__t1"))
-        smask = pc.is_valid(g.column("__s1"))
-        # ArrowDtype round-trip (same reason as the driver path's
-        # target read): null-bearing int64 columns must not launder
-        # through float64 on the way into _apply_merge
-        tpart = g.filter(tmask).select(t_names) \
-            .to_pandas(types_mapper=pd.ArrowDtype)
-        spart = g.filter(smask) \
-            .select([f"__s_{n}" for n in s_names]).rename_columns(s_names) \
-            .to_pandas(types_mapper=pd.ArrowDtype)
-        tagged = _apply_merge(tpart, spart, stmt, ta, sa, env)
-        return pa.Table.from_pandas(tagged, schema=out_schema,
-                                    preserve_index=False)
+        tpart = g.filter(pc.is_valid(g.column("__t1"))).select(t_names)
+        spart = g.filter(pc.is_valid(g.column("__s1"))) \
+            .select([f"__s_{n}" for n in s_names]).rename_columns(s_names)
+        return conform(_apply_merge(tpart, spart, stmt, ta, sa, env))
 
     return _drop_empty_blocks(
         unioned.groupby("__mb").map_groups(
@@ -537,13 +451,9 @@ def _merge_distributed(stmt: A.Merge, path: str, src_ds, ta: str, sa: str,
     """Hash-bucketed distributed MERGE for large FILE targets — see
     :func:`_tagged_merge_core` for the shape. Final rows stream back
     through ``iter_batches`` into the output file, so driver memory stays
-    O(batch), never O(target).
-
-    Requires unique non-null target ON keys (checked distributed): with
-    duplicate target keys, two physically distinct but value-identical
-    target rows in one bucket cannot be told apart without driver-side
-    row identity. Those targets use the small path / lake engine."""
-    import pyarrow.compute as pc
+    O(batch), never O(target). Duplicate target keys need no special
+    case: :func:`_apply_merge` tells target rows apart by position within
+    the bucket, as the driver path does within the whole table."""
     import ray.data as rd
 
     from ..ops.dedup import _drop_empty_blocks
@@ -553,33 +463,13 @@ def _merge_distributed(stmt: A.Merge, path: str, src_ds, ta: str, sa: str,
             "MERGE INTO a plain directory target is not supported — large "
             "multi-file targets belong in the lake engine (UPSERT ... "
             "WITH LAKE, or MERGE INTO a lake directory with manifest)")
-    tschema = pq.read_schema(path)
-    ds_t = rd.read_parquet(path)
+    tschema = pq.read_schema(path).remove_metadata()
     src_mat = _drop_empty_blocks(src_ds.materialize())
     sschema = _source_schema(src_mat, sschema_hint)
     tkeys, skeys = _split_on_keys(stmt, ta, sa, tschema, sschema)
-
-    # ---- unique-key precondition (column-pruned, distributed) -----------
-    def key_rows(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        valid = pc.is_valid(t.column(tkeys[0]))
-        for k in tkeys[1:]:
-            valid = pc.and_(valid, pc.is_valid(t.column(k)))
-        return t.filter(valid)
-
-    kcounts = rd.read_parquet(path, columns=tkeys) \
-        .map_batches(key_rows, batch_format="pyarrow") \
-        .groupby(tkeys).count()
-    if (kcounts.max("count()") or 0) > 1:
-        raise MergeUniqueKeyError(
-            "distributed MERGE requires unique target ON keys — this "
-            "target has duplicate non-null key rows; run it through the "
-            "lake engine (UPSERT ... WITH LAKE) or shrink the target "
-            "below MERGE_DISTRIBUTED_BYTES")
-
-    tagged_ds = _tagged_merge_core(stmt, ds_t, tschema, sschema, src_mat,
-                                   ta, sa, env, tkeys, skeys)
+    tagged_ds = _tagged_merge_core(stmt, rd.read_parquet(path), tschema,
+                                   sschema, src_mat, ta, sa, env, tkeys,
+                                   skeys)
 
     # stream the final rows to disk; counts fold batch-by-batch — driver
     # memory is O(batch) regardless of target size
@@ -589,12 +479,10 @@ def _merge_distributed(stmt: A.Merge, path: str, src_ds, ta: str, sa: str,
     try:
         for b in tagged_ds.iter_batches(batch_size=65536,
                                         batch_format="pyarrow"):
-            acts = b.column(_ACTION)
-            vc = pc.value_counts(acts)
-            for a, n in zip(vc.field("values").to_pylist(),
-                            vc.field("counts").to_pylist()):
+            for a, n in _action_counts(b).items():
                 counts[a] += n
-            keep = b.filter(pc.not_equal(acts, "d")).drop_columns([_ACTION])
+            keep = b.filter(pc.not_equal(b.column(_ACTION), "d")) \
+                .drop_columns([_ACTION])
             if writer is None:
                 writer = pq.ParquetWriter(tmp, keep.schema)
             writer.write_table(keep)
@@ -604,9 +492,7 @@ def _merge_distributed(stmt: A.Merge, path: str, src_ds, ta: str, sa: str,
         if writer is not None:
             writer.close()
     os.replace(tmp, path)  # atomic visibility point
-    return pa.table({"ROWS_INSERTED": [counts["i"]],
-                     "ROWS_UPDATED": [counts["u"]],
-                     "ROWS_DELETED": [counts["d"]], "ROWS_REJECTED": [0]})
+    return _counts_table(counts)
 
 
 class _MergeLock:
@@ -739,7 +625,6 @@ def _run_lake_merge_attempts(stmt, eng, ta, sa, env, src_mat,
     import shutil
     import tempfile
 
-    import pyarrow.compute as pc
     import ray
     import ray.data as rd
 
@@ -809,26 +694,7 @@ def _run_lake_merge_attempts(stmt, eng, ta, sa, env, src_mat,
         raise RuntimeError(
             "MERGE INTO lake: lost the optimistic-concurrency race 5 "
             "times — another writer keeps committing; retry the merge")
-    return pa.table({"ROWS_INSERTED": [counts["i"]],
-                     "ROWS_UPDATED": [counts["u"]],
-                     "ROWS_DELETED": [counts["d"]],
-                     "ROWS_REJECTED": [0]})
-
-
-def _conform(t, schema: pa.Schema) -> pa.Table:
-    """``t`` (a table or None) with exactly ``schema``'s columns in its
-    order: columns it lacks become NULL, the others are cast."""
-    import pyarrow.compute as pc
-
-    n = t.num_rows if t is not None else 0
-    cols = []
-    for f in schema:
-        if t is not None and f.name in t.column_names:
-            c = t.column(f.name)
-            cols.append(c if c.type == f.type else pc.cast(c, f.type))
-        else:
-            cols.append(pa.nulls(n, f.type))
-    return pa.Table.from_arrays(cols, schema=schema)
+    return _counts_table(counts)
 
 
 def _co_partitioned_merge(stmt: A.Merge, eng, manifest: dict,
@@ -848,7 +714,6 @@ def _co_partitioned_merge(stmt: A.Merge, eng, manifest: dict,
     the source is shuffled, never the lake. Returns the materialized
     changed rows (``tschema`` + ``__mrg_action``), or None when no task
     has anything to do."""
-    import pyarrow.compute as pc
     import ray.data as rd
 
     from ..ops.dedup import _drop_empty_blocks
@@ -878,8 +743,10 @@ def _co_partitioned_merge(stmt: A.Merge, eng, manifest: dict,
                     f"not cast to the lake key type {typ}: {exc}") from exc
         return out
 
+    conform_src = PadToSchema(sschema)
+
     def tag(t: pa.Table) -> pa.Table:
-        t = _conform(t, sschema)
+        t = conform_src(t)
         pid = key_hash_partition_cols(source_keys(t), nparts)
         return t.append_column("__pid", pa.array(pid)) \
             .append_column("__src", pa.array(np.ones(len(t), np.int8)))
@@ -897,7 +764,9 @@ def _co_partitioned_merge(stmt: A.Merge, eng, manifest: dict,
         return None
     tagged = streams[0].union(*streams[1:]) if len(streams) > 1 \
         else streams[0]
-    out_schema = pa.schema(list(tschema) + [pa.field(_ACTION, pa.string())])
+    conform_t = PadToSchema(tschema)
+    conform_out = PadToSchema(
+        pa.schema(list(tschema) + [pa.field(_ACTION, pa.string())]))
 
     def merge_partition(g: pa.Table) -> pa.Table:
         pid = int(g.column("__pid")[0].as_py())
@@ -912,14 +781,12 @@ def _co_partitioned_merge(stmt: A.Merge, eng, manifest: dict,
                     value_set=keep))
             tabs.append(t)
         cur = resolve_with_deltas(tabs[0], tabs[1:], key_cols) \
-            if tabs else None
-        # ArrowDtype round-trip: plain to_pandas() flips int64-with-NULL
-        # to float64 and silently corrupts values >= 2^53
-        tagged = _apply_merge(
-            _conform(cur, tschema).to_pandas(types_mapper=pd.ArrowDtype),
-            src.to_pandas(types_mapper=pd.ArrowDtype), stmt, ta, sa, env)
-        changed = tagged[tagged[_ACTION] != "k"]
-        if changed[changed[_ACTION] == "i"].duplicated(subset=key_cols).any():
+            if tabs else tschema.empty_table()
+        tagged = _apply_merge(conform_t(cur), src, stmt, ta, sa, env)
+        acts = tagged.column(_ACTION)
+        changed = tagged.filter(pc.not_equal(acts, "k"))
+        inserted = tagged.filter(pc.equal(acts, "i")).select(key_cols)
+        if len(inserted.group_by(key_cols).aggregate([])) < len(inserted):
             # a keyed lake cannot hold duplicate keys: two NOT MATCHED
             # inserts for the same key would silently LWW-collapse to one
             # row while counts said two (the file path inserts both)
@@ -927,8 +794,7 @@ def _co_partitioned_merge(stmt: A.Merge, eng, manifest: dict,
                 "MERGE INTO lake: duplicate source keys on NOT MATCHED "
                 "inserts — a keyed lake cannot hold duplicate keys; dedup "
                 "the source first")
-        return pa.Table.from_pandas(changed, schema=out_schema,
-                                    preserve_index=False)
+        return conform_out(changed)
 
     return _drop_empty_blocks(
         tagged.groupby("__pid").map_groups(

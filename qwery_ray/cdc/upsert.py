@@ -1,4 +1,5 @@
-"""Keyed-table UPSERT / UPDATE for the SQL surface.
+"""Keyed-table UPSERT / UPDATE for the SQL surface, and the Arrow
+keyed-write core that MERGE shares.
 
 Reference semantics: UPSERT INTO ... KEYED ON = insert-else-update per key
 (ops/sql/Upsert.scala:14-32 + JDBCOutputSource.scala:62-104); UPDATE ... KEYED
@@ -10,98 +11,122 @@ The source Dataset streams; the TARGET table is materialized driver-side —
 this operator is for dimension-table-sized keyed targets. Within the incoming
 batch, the LAST occurrence per key wins, matching the reference's sequential
 row-at-a-time application.
+
+Every keyed write is Arrow end to end, on three shared primitives:
+:func:`_pair_keys` (null-safe key pairing: a NULL key equals a NULL key,
+``(1, NULL)`` differs from ``(2, NULL)``), :func:`_last_in_table` (last
+occurrence per key) and :func:`_scatter` (columnar in-place update). Rows
+from both sides are unioned under the single-file writer's schema policy
+(:func:`qwery_ray.sources.writers._unify`). Rewritten files carry no pandas
+schema metadata, like INSERT-written files.
 """
 
 from __future__ import annotations
 
 import os
 
-import pandas as pd
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
 
-
-def _collect(ds: rd.Dataset) -> pd.DataFrame:
-    # Arrow-backed dtypes: plain to_pandas() turns an int64 column with any
-    # NULL into float64, and the rewrite would silently flip the FILE's
-    # column type to double (breaking later appends against the original
-    # schema). ArrowDtype round-trips losslessly.
-    frames = [b.to_pandas(types_mapper=pd.ArrowDtype)
-              for b in ds.iter_batches(batch_size=65536,
-                                       batch_format="pyarrow")]
-    if not frames:
-        return pd.DataFrame()
-    return pd.concat(frames, ignore_index=True)
+from ..sources.writers import _unify
+from ..sqlc.asof import PadToSchema
 
 
-def concat_union(frames: list[pd.DataFrame]) -> pd.DataFrame:
-    """Column-union concat with explicit NA typing.
+def _collect_table(ds: rd.Dataset) -> pa.Table:
+    """The whole dataset as one driver-side table; a dataset without rows
+    (whose materialized blocks may have no columns) gives ``pa.table({})``."""
+    batches = [b for b in ds.iter_batches(batch_size=None,
+                                          batch_format="pyarrow") if len(b)]
+    if not batches:
+        return pa.table({})
+    return pa.concat_tables(batches, promote_options="permissive")
 
-    Two pandas pitfalls handled at once: (a) EMPTY frames must still
-    contribute their COLUMNS — plain \"drop empty then concat\" silently
-    loses a side's schema (e.g. an UPSERT that replaces every surviving
-    row must keep the file's evolved columns); (b) all-NA columns are
-    pre-typed to the first frame's dtype (float64 when the dtype can't
-    hold NA — the promotion concat applies today) so deprecated
-    empty/all-NA dtype inference never fires (pandas FutureWarning,
-    removed in pandas 3)."""
-    order: list[str] = []
-    for f in frames:
-        for c in f.columns:
-            if c not in order:
-                order.append(c)
-    # dtype authority per column, replicating what the old concat's
-    # deprecated exclude-empty/all-NA inference produced:
-    #   1. first NON-EMPTY frame with REAL values (not all-NA) —
-    #      an object column of placeholder Nones (e.g. a MERGE insert
-    #      frame's unmentioned target columns) must not win;
-    #   2. else first frame (empty allowed) with a TYPED (non-object)
-    #      dtype — a 0-row ArrowDtype target still knows its schema;
-    #   3. else the first frame's dtype.
-    dtypes: dict = {}
-    for c in order:
-        typed = None
-        first = None
-        for f in frames:
-            if c not in f.columns:
-                continue
-            if first is None:
-                first = f[c].dtype
-            if typed is None and f[c].dtype != object:
-                typed = f[c].dtype
-            if not f.empty and not f[c].isna().all():
-                dtypes[c] = f[c].dtype
-                break
-        if c not in dtypes:
-            dtypes[c] = typed if typed is not None else first
-    live = [f for f in frames if not f.empty]
-    if not live:
-        return frames[0].reindex(columns=order)
 
-    def typed_na(n: int, dt):
-        try:
-            return pd.Series([pd.NA] * n, dtype=dt)
-        except (TypeError, ValueError):
-            return pd.Series([float("nan")] * n, dtype="float64")
+def _union(tables: list[pa.Table]) -> pa.Table:
+    """Row-concatenate under one schema: :func:`_unify`'s column union with
+    null backfill and permissive numeric widening, in first-seen column
+    order."""
+    schema = tables[0].schema
+    for t in tables[1:]:
+        schema = _unify(schema, t.schema)
+    pad = PadToSchema(schema)
+    return pa.concat_tables([pad(t) for t in tables])
 
-    aligned = []
-    for f in live:
-        # dict-of-Series assembly: references the original columns (no
-        # deep copy — these frames can be the ENTIRE existing file on the
-        # UPSERT path, so duplicating payload here would double peak
-        # driver memory); only all-NA/missing columns materialize anew
-        cols = {}
-        for c in order:
-            if c not in f.columns or f[c].isna().all():
-                cols[c] = typed_na(len(f), dtypes[c])
-            else:
-                cols[c] = f[c].reset_index(drop=True)
-        aligned.append(pd.DataFrame(cols))
-    if len(aligned) == 1:
-        return aligned[0]
-    return pd.concat(aligned, ignore_index=True)
+
+def _replace_file(t: pa.Table, path: str) -> None:
+    """Write ``t`` to ``path`` atomically (tmp file + rename)."""
+    tmp = path + ".tmp"
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    pq.write_table(t.replace_schema_metadata(None), tmp)
+    os.replace(tmp, path)  # atomic visibility point
+
+
+def _pair_keys(target: pa.Table, tkeys: list[str], source: pa.Table,
+               skeys: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Row pairs ``(target_rows, source_rows)`` whose keys are equal, as two
+    int64 arrays sorted by target row, then source row. NULL equals NULL
+    per key column, so ``(1, NULL)`` pairs with ``(1, NULL)`` but not with
+    ``(2, NULL)``: both sides join on the (is-null flag, null-filled value)
+    columns of :class:`NullSafeSortKeys`, with each source key cast to the
+    common type of the two key columns."""
+    from ..sqlc.compiler import NullSafeSortKeys
+
+    tcols, scols = [], []
+    for tk, sk in zip(tkeys, skeys):
+        tc, sc = target.column(tk), source.column(sk)
+        if tc.type != sc.type:
+            typ = _unify(pa.schema([("k", tc.type)]),
+                         pa.schema([("k", sc.type)])).field("k").type
+            tc, sc = tc.cast(typ), sc.cast(typ)
+        tcols.append(tc)
+        scols.append(sc)
+    names = [f"k{i}" for i in range(len(tkeys))]
+    enc = NullSafeSortKeys(names)
+    keys = [c for i in range(len(names)) for c in (f"__nf{i}", f"__nk{i}")]
+
+    def side(cols: list, n: int, pos: str) -> pa.Table:
+        t = enc(pa.table(dict(zip(names, cols)))).select(keys)
+        return t.append_column(pos, pa.array(np.arange(n, dtype=np.int64)))
+
+    j = side(tcols, len(target), "__tid").join(
+        side(scols, len(source), "__sid"), keys=keys, join_type="inner")
+    tid = j.column("__tid").to_numpy()
+    sid = j.column("__sid").to_numpy()
+    order = np.lexsort((sid, tid))
+    return tid[order], sid[order]
+
+
+def _scatter(t: pa.Table, rows: np.ndarray, col: str,
+             values: pa.Array) -> pa.Table:
+    """``t`` with ``values[i]`` written into row ``rows[i]`` of column
+    ``col`` (rows unique), cast to the column's type: one ``take`` plus one
+    ``if_else`` per column, never a per-cell write. An all-NULL column of
+    Arrow's null type takes the values' type."""
+    i = t.column_names.index(col)
+    old = t.column(i).combine_chunks()
+    if pa.types.is_null(old.type):
+        old = pa.nulls(len(t), values.type)
+    elif values.type != old.type:
+        values = values.cast(old.type)
+    mask = np.zeros(len(t), dtype=bool)
+    mask[rows] = True
+    gather = np.zeros(len(t), dtype=np.int64)
+    gather[rows] = np.arange(len(rows))
+    new = pc.if_else(pa.array(mask), values.take(pa.array(gather)), old)
+    return t.set_column(i, col, new)
+
+
+def _as_array(val, n: int) -> pa.Array:
+    """An evaluator result (array, chunked array or scalar) as an array of
+    ``n`` values."""
+    if isinstance(val, pa.ChunkedArray):
+        return val.combine_chunks()
+    if isinstance(val, pa.Array):
+        return val
+    return pa.array([val] * n)
 
 
 #: above this estimated source size, UPSERT/UPDATE pre-reduce the source
@@ -118,7 +143,6 @@ def block_offsets(mat: rd.Dataset) -> list:
     explicit (UPSERT last-wins __pos tags, lake-MERGE fresh LSNs).
     Unknown num_rows metadata is counted by a remote per-block len()
     task; rows never move to the driver."""
-    import numpy as np
     import ray
 
     blocks = list(mat._plan.execute().blocks)
@@ -138,18 +162,15 @@ def block_offsets(mat: rd.Dataset) -> list:
 
 
 def _last_in_table(t: pa.Table, keys: list[str]) -> pa.Table:
-    """Keep each key's max-__pos row of one Arrow table. Key/pos columns
-    go through pandas (narrow); CONTENT moves by take() — zero type
-    mangling on payload columns."""
-    import numpy as np
-
-    kdf = t.select(keys + ["__pos"]).to_pandas(types_mapper=pd.ArrowDtype)
-    idx = kdf.groupby(keys, dropna=False, sort=False)["__pos"].idxmax() \
-        .to_numpy()
-    return t.take(pa.array(np.sort(idx)))
+    """Keep each key's max-__pos row of one Arrow table, in ``t``'s row
+    order. NULL key values group together."""
+    last = t.select(keys + ["__pos"]).group_by(keys, use_threads=False) \
+        .aggregate([("__pos", "max")])
+    return t.filter(pc.is_in(t.column("__pos"),
+                             value_set=last.column("__pos_max")))
 
 
-def _last_per_key_distributed(mat: rd.Dataset, keys: list[str]) -> pd.DataFrame:
+def _last_per_key_distributed(mat: rd.Dataset, keys: list[str]) -> pa.Table:
     """Distributed last-occurrence-per-key reduction of a LARGE source.
 
     The implicit stream position ("last wins" = last in SELECT order,
@@ -163,8 +184,6 @@ def _last_per_key_distributed(mat: rd.Dataset, keys: list[str]) -> pd.DataFrame:
 
     @ray.remote
     def _tag(block, off: int) -> pa.Table:
-        import numpy as np
-
         if not isinstance(block, pa.Table):  # pandas-format block
             block = pa.Table.from_pandas(block, preserve_index=False)
         return block.append_column(
@@ -183,72 +202,56 @@ def _last_per_key_distributed(mat: rd.Dataset, keys: list[str]) -> pd.DataFrame:
     enc_keys = [c for i in range(len(keys))
                 for c in (f"__nf{i}", f"__nk{i}")]
 
-    def combine(batch: pa.Table) -> pa.Table:
+    def last(batch: pa.Table) -> pa.Table:
         return _last_in_table(batch, keys) if len(batch) else batch
 
-    def group_last(g: pa.Table) -> pa.Table:
-        return _last_in_table(g, keys) if len(g) else g
-
-    reduced = tagged.map_batches(combine, batch_format="pyarrow") \
+    reduced = tagged.map_batches(last, batch_format="pyarrow") \
         .map_batches(NullSafeSortKeys(keys), batch_format="pyarrow") \
-        .groupby(enc_keys).map_groups(group_last, batch_format="pyarrow") \
+        .groupby(enc_keys).map_groups(last, batch_format="pyarrow") \
         .map_batches(lambda t: t.drop_columns(
             [c for c in enc_keys if c in t.column_names]),
             batch_format="pyarrow")
-    out = _collect(reduced)
-    if out.empty:
-        return out.drop(columns=["__pos"], errors="ignore")
+    out = _collect_table(reduced)
+    if not len(out):
+        return out
     # restore stream order so the rewritten file's row order matches the
     # sequential-application order the small path produces
-    return out.sort_values("__pos", ignore_index=True) \
-        .drop(columns=["__pos"])
+    return out.sort_by("__pos").drop_columns(["__pos"])
 
 
-def _collect_last_per_key(ds: rd.Dataset, keys: list[str]) -> pd.DataFrame:
-    """Collect a source with last-occurrence-per-key semantics: small
-    sources collect directly (the caller dedups); large sources reduce
-    distributed first so the driver never holds raw source rows."""
+def _collect_last_per_key(ds: rd.Dataset, keys: list[str]) -> pa.Table:
+    """Collect a source with last-occurrence-per-key semantics, in the
+    stream order of those last occurrences: small sources reduce on the
+    driver; large sources reduce distributed first so the driver never
+    holds raw source rows."""
     mat = ds.materialize()
-    size = mat.size_bytes() or 0
-    if size > SOURCE_PREREDUCE_BYTES:
+    if (mat.size_bytes() or 0) > SOURCE_PREREDUCE_BYTES:
         return _last_per_key_distributed(mat, keys)
-    new = _collect(mat)
-    if new.empty:
+    new = _collect_table(mat)
+    if not len(new):
         return new
-    return new.drop_duplicates(subset=keys, keep="last", ignore_index=True)
+    pos = pa.array(np.arange(len(new), dtype=np.int64))
+    return _last_in_table(new.append_column("__pos", pos), keys) \
+        .drop_columns(["__pos"])
 
 
 def upsert_into_parquet(ds: rd.Dataset, path: str, keys: list[str]) -> tuple[int, int]:
     """Returns (rows_inserted, rows_updated)."""
     # last occurrence per key wins within the incoming stream; a large
     # source LWW-reduces per key DISTRIBUTED before the driver sees it
-    deduped = _collect_last_per_key(ds, keys)
-    if deduped.empty:
+    new = _collect_last_per_key(ds, keys)
+    if not len(new):
         return 0, 0
-
+    merged, updated = new, 0
     if os.path.exists(path):
-        existing = pq.read_table(path).to_pandas(types_mapper=pd.ArrowDtype)
-    else:
-        existing = pd.DataFrame(columns=deduped.columns)
-
-    existing_keys = set(map(tuple, existing[keys].itertuples(index=False))) \
-        if not existing.empty else set()
-    incoming_keys = list(map(tuple, deduped[keys].itertuples(index=False)))
-    updated = sum(1 for k in incoming_keys if k in existing_keys)
-    inserted = len(incoming_keys) - updated
-
-    if not existing.empty:
-        mask = existing[keys].apply(tuple, axis=1).isin(set(incoming_keys))
-        survivors = existing[~mask]
-    else:
-        survivors = existing
-    merged = concat_union([survivors, deduped])
-
-    tmp = path + ".tmp"
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    pq.write_table(pa.Table.from_pandas(merged, preserve_index=False), tmp)
-    os.replace(tmp, path)  # atomic visibility point
-    return inserted, updated
+        old = pq.read_table(path)
+        tid, sid = _pair_keys(old, keys, new, keys)
+        updated = len(np.unique(sid))
+        keep = np.ones(len(old), dtype=bool)
+        keep[tid] = False
+        merged = _union([old.filter(pa.array(keep)), new])
+    _replace_file(merged, path)
+    return len(new) - updated, updated
 
 
 def update_parquet(ds: rd.Dataset, path: str, keys: list[str],
@@ -261,33 +264,20 @@ def update_parquet(ds: rd.Dataset, path: str, keys: list[str],
     # evaluation below, so a large source reduces DISTRIBUTED first and
     # the driver only ever evaluates one row per distinct key
     src = _collect_last_per_key(ds, keys)
-    if src.empty or not os.path.exists(path):
+    if not len(src) or not os.path.exists(path):
         return 0
     ev = make_evaluator(env)
-    batch = pa.Table.from_pandas(src, preserve_index=False)
-    for name, expr in assignments:
-        val = ev.eval(expr, batch)
-        if not isinstance(val, (pa.Array, pa.ChunkedArray)):
-            val = pa.array([val] * len(batch))
-        if isinstance(val, pa.ChunkedArray):
-            val = val.combine_chunks()
-        src[name] = pd.Series(val, dtype=pd.ArrowDtype(val.type))
-
-    target = pq.read_table(path).to_pandas(types_mapper=pd.ArrowDtype)
-    assigned_cols = [n for n, _ in assignments]
-    idx = src.set_index(keys)
-    tkeys = target[keys].apply(tuple, axis=1) if len(keys) > 1 else target[keys[0]]
-    skeys = set(idx.index)
-    mask = tkeys.isin(skeys)
-    updated = int(mask.sum())
-    if updated:
-        lookup = idx[assigned_cols]
-        for col in assigned_cols:
-            target.loc[mask, col] = tkeys[mask].map(lookup[col]).values
-    tmp = path + ".tmp"
-    pq.write_table(pa.Table.from_pandas(target, preserve_index=False), tmp)
-    os.replace(tmp, path)
-    return updated
+    target = pq.read_table(path)
+    tid, sid = _pair_keys(target, keys, src, keys)
+    if len(tid):
+        for name, expr in assignments:
+            if name not in target.column_names:
+                target = target.append_column(
+                    name, pa.nulls(len(target)))
+            vals = _as_array(ev.eval(expr, src), len(src))
+            target = _scatter(target, tid, name, vals.take(pa.array(sid)))
+    _replace_file(target, path)
+    return len(tid)
 
 
 def update_where_parquet(path: str, assignments, where, env: dict) -> int:
@@ -311,8 +301,6 @@ def update_where_parquet(path: str, assignments, where, env: dict) -> int:
         mask = ev.eval_mask(where, tbl)
     n_upd = pc.sum(mask).as_py() or 0
     if n_upd:
-        import numpy as np
-
         # ANSI row semantics: every SET source expression is evaluated
         # against the PRE-update row (UPDATE t SET a=b, b=a swaps), and only
         # over the WHERE-selected rows (an expression that errors on an
@@ -323,31 +311,11 @@ def update_where_parquet(path: str, assignments, where, env: dict) -> int:
         for name, expr in assignments:
             if name not in tbl.column_names:
                 raise ValueError(f"UPDATE: unknown column {name!r}")
-            val = ev.eval(expr, sel)
-            if not isinstance(val, (pa.Array, pa.ChunkedArray)):
-                val = pa.array([val] * len(sel))
-            if isinstance(val, pa.ChunkedArray):
-                val = val.combine_chunks()
-            evaluated.append((name, val))
-
-        mask_np = mask.to_numpy(zero_copy_only=False)
-        # position of each selected row within `sel` (garbage where ~mask,
-        # masked out by if_else below)
-        gather = pa.array(np.where(mask_np, np.cumsum(mask_np) - 1, 0),
-                          pa.int64())
+            evaluated.append((name, _as_array(ev.eval(expr, sel), len(sel))))
+        rows = np.flatnonzero(mask.to_numpy(zero_copy_only=False))
         for name, val in evaluated:
-            idx = tbl.column_names.index(name)
-            old = tbl.column(idx)
-            if isinstance(old, pa.ChunkedArray):
-                old = old.combine_chunks()
-            if val.type != old.type:
-                val = val.cast(old.type)
-            expanded = val.take(gather)
-            new = pc.if_else(mask, expanded, old)
-            tbl = tbl.set_column(idx, name, new)
-        tmp = path + ".tmp"
-        pq.write_table(tbl, tmp)
-        os.replace(tmp, path)
+            tbl = _scatter(tbl, rows, name, val)
+        _replace_file(tbl, path)
     return int(n_upd)
 
 
@@ -372,7 +340,5 @@ def delete_parquet(path: str, where, env: dict) -> int:
         keep = tbl.filter(pc.invert(mask))
     deleted = len(tbl) - len(keep)
     if deleted:
-        tmp = path + ".tmp"
-        pq.write_table(keep, tmp)
-        os.replace(tmp, path)
+        _replace_file(keep, path)
     return deleted

@@ -206,7 +206,7 @@ def unit_dedup(ds: rd.Dataset, explode, *, id_col: str = "doc_id",
 
     # huge duplicate set: anti join on the packed position, then the
     # rebuild needs a doc-coarse shuffle (the join breaks batch locality)
-    from ..sqlc.compiler import _shuffle_join
+    from ..sqlc.compiler import _join_partitions, _shuffle_join
 
     with_pos = units.map_batches(
         lambda t: t.append_column("pos", pa.array(
@@ -214,7 +214,7 @@ def unit_dedup(ds: rd.Dataset, explode, *, id_col: str = "doc_id",
             + t.column("ord").to_numpy(zero_copy_only=False))),
         batch_format="pyarrow")
     kept = _shuffle_join(with_pos, losers, join_type="left_anti",
-                         num_partitions=max(ncpu * 2, 16), on=("pos",))
+                         num_partitions=_join_partitions(ncpu), on=("pos",))
 
     # survivors lost doc contiguity in the join: join the per-doc unit
     # totals as the LEFT side (a fully-duplicated document keeps a row
@@ -238,7 +238,8 @@ def unit_dedup(ds: rd.Dataset, explode, *, id_col: str = "doc_id",
         .map_batches(lambda t: t.rename_columns([id_col, "n_units"]),
                      batch_format="pyarrow")
     joined = _shuffle_join(tot, kept, join_type="left_outer",
-                           num_partitions=max(ncpu * 2, 16), on=(id_col,))
+                           num_partitions=_join_partitions(ncpu),
+                           on=(id_col,))
     return joined.map_batches(
         _AB([id_col], max(32, ncpu * 4), "__gb"), batch_format="pyarrow") \
         .groupby("__gb").map_groups(rebuild_group, batch_format="pandas")
@@ -429,12 +430,12 @@ def dup_span_stats(ds: rd.Dataset, *, w: int = 8, text_col: str = "text",
     n_cov = cov.count()
     if n_cov > 2_000_000:
         # doc-level coverage table outgrew broadcast: one outer hash join
-        from ..sqlc.compiler import _shuffle_join
+        from ..sqlc.compiler import _join_partitions, _shuffle_join
 
         ntok = ds.map_batches(_NtokOnly(w, text_col, id_col),
                               batch_format="pyarrow")
         joined = _shuffle_join(ntok, cov, join_type="left_outer",
-                               num_partitions=max(ncpu * 2, 16),
+                               num_partitions=_join_partitions(ncpu),
                                on=(id_col,))
 
         def fill_zero(t: pa.Table) -> pa.Table:

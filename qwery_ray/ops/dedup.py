@@ -84,14 +84,14 @@ def _drop_ids(ds: rd.Dataset, losers, id_col: str,
 
         return ds.map_batches(drop_losers, batch_format="pyarrow")
     # large duplicate set: one hash-partitioned anti join on the id column
-    from ..sqlc.compiler import _shuffle_join
+    from ..sqlc.compiler import _join_partitions, _shuffle_join
 
     if loser_ds is None:
         loser_ds = rd.from_arrow(pa.table({id_col: pa.array(losers)}))
     ncpu = int(ray.cluster_resources().get("CPU", 8)) \
         if ray.is_initialized() else 8
     return _shuffle_join(ds, loser_ds, join_type="left_anti",
-                         num_partitions=max(ncpu * 2, 16), on=(id_col,))
+                         num_partitions=_join_partitions(ncpu), on=(id_col,))
 
 
 def exact_dedup(ds: rd.Dataset, text_col: str = "text",
@@ -833,9 +833,11 @@ def _cc_join_rounds(edges: rd.Dataset, labels: rd.Dataset,
     groupby per round over narrow (int64, int64) rows only."""
     import ray
 
+    from ..sqlc.compiler import _join_partitions, _shuffle_join
+
     ncpu = int(ray.cluster_resources().get("CPU", 8)) \
         if ray.is_initialized() else 8
-    nparts = max(ncpu * 2, 16)
+    nparts = _join_partitions(ncpu)
 
     def pushed_rows(t: pa.Table) -> pa.Table:
         return pa.table({"id": t.column("dst"),
@@ -847,8 +849,8 @@ def _cc_join_rounds(edges: rd.Dataset, labels: rd.Dataset,
     labels = _drop_empty_blocks(labels)
     cur_sum = labels.sum("component")
     for _ in range(max_rounds):
-        cand = edges.join(
-            labels, join_type="inner", num_partitions=nparts,
+        cand = _shuffle_join(
+            edges, labels, join_type="inner", num_partitions=nparts,
             on=("src",), right_on=("id",)) \
             .map_batches(pushed_rows, batch_format="pyarrow") \
             .materialize()  # barrier: keep the join out of the groupby plan

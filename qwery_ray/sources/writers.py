@@ -144,56 +144,66 @@ def _write_single_json(ds: rd.Dataset, path: str, overwrite: bool) -> int:
     return count
 
 
+def _unify(a: pa.Schema, b: pa.Schema) -> pa.Schema:
+    """The single-file schema policy: additive schema evolution (a new
+    column on either side null-backfills the other, lake-engine parity)
+    and permissive promotion that widens numeric mismatches (int32 file +
+    int64 insert → int64) instead of failing."""
+    try:
+        return pa.unify_schemas([a, b])
+    except pa.ArrowTypeError:
+        return pa.unify_schemas([a, b], promote_options="permissive")
+
+
 def _write_single_parquet(ds: rd.Dataset, path: str, overwrite: bool) -> int:
     import pyarrow.parquet as pq
 
+    from ..sqlc.asof import PadToSchema
+
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp, prev = path + ".tmp", path + ".tmp.prev"
     count = 0
-    tables = []
-    if os.path.exists(path) and not overwrite:
-        tables.append(pq.read_table(path))
+    base = pq.ParquetFile(path) \
+        if os.path.exists(path) and not overwrite else None
     writer = None
 
-    def _unify(a: "pa.Schema", b: "pa.Schema") -> "pa.Schema":
-        # additive schema evolution: a new column on either side
-        # null-backfills the other (lake-engine parity); permissive
-        # promotion widens numeric mismatches (int32 file + int64 insert
-        # → int64) instead of failing the append
-        try:
-            return pa.unify_schemas([a, b])
-        except pa.ArrowTypeError:
-            return pa.unify_schemas([a, b], promote_options="permissive")
+    def restart(schema: pa.Schema, old) -> pq.ParquetWriter:
+        # a new writer over ``schema`` that first copies ``old``'s rows
+        # batch by batch: an append or a widening never holds more than
+        # one batch of the already-written rows in memory
+        w = pq.ParquetWriter(tmp, schema)
+        if old is not None:
+            pad = PadToSchema(schema)
+            for b in old.iter_batches(batch_size=65536):
+                w.write_table(pad(pa.Table.from_batches([b])).cast(schema))
+        return w
 
     try:
-        from ..sqlc.asof import PadToSchema
-
-        pad = None
         for batch in ds.iter_batches(batch_size=65536, batch_format="pyarrow"):
             count += len(batch)
             if writer is None:
                 schema = batch.schema
-                if tables:
-                    schema = _unify(tables[0].schema, schema)
-                writer = pq.ParquetWriter(path + ".tmp", schema)
+                if base is not None:
+                    schema = _unify(base.schema_arrow, schema)
+                writer = restart(schema, base)
                 pad = PadToSchema(schema)
-                for t in tables:
-                    writer.write_table(pad(t).cast(schema))
             elif set(batch.schema.names) - set(schema.names) or any(
                     batch.schema.field(n).type != schema.field(n).type
                     for n in batch.schema.names):
                 # a LATER batch introduces a new column or wider type
                 # (heterogeneous-schema source): widen the output schema
                 # and restart the writer over the rows already written —
-                # bounded by the single output file, never silently drop
-                # the new column (PadToSchema alone would).
+                # never silently drop the new column (PadToSchema alone
+                # would).
                 widened = _unify(schema, batch.schema)
                 if widened != schema:
                     writer.close()
-                    written = pq.read_table(path + ".tmp")
+                    os.replace(tmp, prev)
                     schema = widened
-                    writer = pq.ParquetWriter(path + ".tmp", schema)
+                    with pq.ParquetFile(prev) as old:
+                        writer = restart(schema, old)
+                    os.remove(prev)
                     pad = PadToSchema(schema)
-                    writer.write_table(pad(written).cast(schema))
             writer.write_table(pad(batch).cast(schema))
     except BaseException:
         # a mid-write failure (unpromotable later-batch type, source
@@ -202,13 +212,16 @@ def _write_single_parquet(ds: rd.Dataset, path: str, overwrite: bool) -> int:
         if writer is not None:
             writer.close()
             writer = None
-        try:
-            os.remove(path + ".tmp")
-        except OSError:
-            pass
+        for f in (tmp, prev):
+            try:
+                os.remove(f)
+            except OSError:
+                pass
         raise
     finally:
+        if base is not None:
+            base.close()
         if writer is not None:
             writer.close()
-            os.replace(path + ".tmp", path)  # atomic visibility point
+            os.replace(tmp, path)  # atomic visibility point
     return count

@@ -73,6 +73,48 @@ class TestLateColumnParquetWriter:
                                      overwrite=True) == 3
         assert pq.read_table(path).equals(t)
 
+    def test_append_widening_twice_streams(self, ray_session, tmp_path,
+                                           monkeypatch):
+        """An append whose source widens twice (a new column, then a
+        wider type and another column) keeps every row under the unified
+        schema, and copies the existing file and the rows already written
+        batch by batch: pq.read_table is never called."""
+        import ray.data as rd
+
+        from qwery_ray.sources.writers import _write_single_parquet
+
+        path = os.path.join(str(tmp_path), "a.parquet")
+        pq.write_table(pa.table({"k": pa.array([-2, -1], pa.int32())}),
+                       path)
+        n = 70000
+        t1 = pa.table({"k": pa.array(range(n), pa.int32())})
+        t2 = pa.table({"k": pa.array(range(n, 2 * n), pa.int32()),
+                       "extra": pa.array(["x"] * n)})
+        t3 = pa.table({"k": pa.array(range(2 * n, 3 * n), pa.int64()),
+                       "extra": pa.array(["y"] * n),
+                       "more": pa.array([1.5] * n)})
+
+        def boom(*a, **k):
+            raise AssertionError("writer read a whole file into memory")
+
+        monkeypatch.setattr(pq, "read_table", boom)
+        count = _write_single_parquet(rd.from_arrow([t1, t2, t3]), path,
+                                      overwrite=False)
+        monkeypatch.undo()
+        assert count == 3 * n
+        back = pq.read_table(path)
+        assert [(f.name, f.type) for f in back.schema] == [
+            ("k", pa.int64()), ("extra", pa.string()),
+            ("more", pa.float64())]
+        assert sorted(back.column("k").to_pylist()) == \
+            [-2, -1] + list(range(3 * n))
+        by_k = {k: (e, m) for k, e, m in zip(*(
+            back.column(c).to_pylist() for c in ("k", "extra", "more")))}
+        assert by_k[-2] == (None, None) and by_k[0] == (None, None)
+        assert by_k[n] == ("x", None) and by_k[3 * n - 1] == ("y", 1.5)
+        assert not os.path.exists(path + ".tmp")
+        assert not os.path.exists(path + ".tmp.prev")
+
 
 class TestDropEmptyBlocksMetadata:
     def test_unknown_num_rows_block_kept(self, ray_session):
@@ -141,8 +183,10 @@ class TestReviewFindingsR5:
         })
         out = up._last_per_key_distributed(
             rd.from_pandas(src).materialize(), ["k"])
-        got = {(-1 if pd.isna(k) else k): int(v)
-               for k, v in zip(out.k, out.v)}
+        assert isinstance(out, pa.Table)
+        got = {(-1 if k is None else k): v
+               for k, v in zip(out.column("k").to_pylist(),
+                               out.column("v").to_pylist())}
         assert got == {"a": 3, -1: 5, "b": 6}  # last per key, NULL group
 
     def test_writer_failure_never_publishes_partial(self, ray_session,
@@ -192,8 +236,8 @@ class TestReviewFindingsR5:
 
     def test_big_source_cardinality_fails_fast(self, ray_session,
                                                tmp_path, monkeypatch):
-        """A cardinality violation on the forced-distributed path must NOT
-        fall back to collecting the source on the driver."""
+        """A cardinality violation on the source-size-routed distributed
+        path fails there: the source is never collected on the driver."""
         import qwery_ray.cdc.merge_stmt as ms
 
         from qwery_ray import QweryEngine
@@ -212,7 +256,7 @@ class TestReviewFindingsR5:
         def boom(*a, **k):
             raise AssertionError("fell back to the driver collect")
 
-        monkeypatch.setattr(ms, "_collect", boom)
+        monkeypatch.setattr(ms, "_collect_table", boom)
         eng = QweryEngine(table_root=str(tmp_path))
         with pytest.raises(Exception, match="cardinality"):
             eng.sql("""

@@ -351,22 +351,11 @@ class TestMergeDistributed:
                 WHEN MATCHED THEN UPDATE SET qty = s.qty
             """)
 
-    def test_duplicate_target_keys_rejected(self, workdir):
-        dup_t = pd.DataFrame({"id": [1, 1, 2], "qty": [5, 6, 7],
-                              "status": ["a", "b", "c"]})
-        pq.write_table(pa.Table.from_pandas(dup_t, preserve_index=False),
-                       str(workdir / "dupt.parquet"))
-        eng = _engine(workdir)
-        with pytest.raises(Exception, match="unique target ON keys"):
-            eng.sql("""
-                MERGE INTO dupt AS t USING delta AS s ON t.id = s.id
-                WHEN MATCHED THEN UPDATE SET qty = s.qty
-            """)
-
     def test_randomized_equivalence_with_driver_path(self, tmp_path,
                                                      monkeypatch):
         """Same inputs through BOTH paths → identical final tables and
-        counts (distributed row order is free; compare sorted)."""
+        counts (distributed row order is free; compare sorted). The last
+        two trials have duplicate target keys (150 rows over 60 keys)."""
         import numpy as np
 
         import qwery_ray.cdc.merge_stmt as ms
@@ -383,10 +372,13 @@ class TestMergeDistributed:
             WHEN NOT MATCHED THEN INSERT (id, v) VALUES (s.id, s.w)
             WHEN NOT MATCHED BY SOURCE AND t.v < 0 THEN UPDATE SET v = 0
         """
-        for trial in range(4):
+        for trial in range(6):
             tgt = pd.DataFrame({
                 "id": rng.choice(300, size=120, replace=False),
                 "v": rng.integers(-50, 50, size=120),
+            }) if trial < 4 else pd.DataFrame({
+                "id": rng.integers(0, 60, size=150),
+                "v": rng.integers(-50, 50, size=150),
             })
             src = pd.DataFrame({
                 "id": rng.choice(300, size=80, replace=False),
@@ -460,10 +452,10 @@ class TestBigSourceBounded:
         assert len(final) == 5000
         assert final[final.id == 3].qty.tolist() == [3]
 
-    def test_merge_dup_key_small_target_falls_back(self, workdir,
+    def test_merge_dup_key_small_target_big_source(self, workdir,
                                                    monkeypatch):
-        """Duplicate-key SMALL target + big source: distributed path's
-        unique-key precondition fails -> documented driver fallback, same
+        """Duplicate-key SMALL target + big source: the source-size-routed
+        distributed path merges the duplicate-key target with the same
         result as the plain small path."""
         import qwery_ray.cdc.merge_stmt as ms
 
@@ -524,10 +516,11 @@ class TestBigSourceBounded:
         })
         out = up._last_per_key_distributed(
             rd.from_pandas(src).materialize(), ["k"])
-        assert len(out) == 37
-        assert "__pos" not in out.columns
+        assert isinstance(out, pa.Table)
+        assert out.num_rows == 37
+        assert "__pos" not in out.column_names
         # per key, the max-position (last-stream) value won
-        got = out.sort_values("k").v.tolist()
+        got = out.sort_by("k").column("v").to_pylist()
         want = [max(i for i in range(20000) if i % 37 == k)
                 for k in range(37)]
         assert got == want
@@ -1061,3 +1054,173 @@ class TestLakeMergeOcc:
                     ('a', 1), ('a', 2)) s(k, nv)) AS sr ON tg.k = sr.k
                 WHEN NOT MATCHED THEN INSERT (k, v) VALUES (sr.k, sr.nv)
             """)
+
+
+# ---------------------------------------------------------------------------
+# Keyed-write pins: UPSERT, UPDATE … KEYED ON and MERGE into a file target,
+# each on the driver path and on the forced distributed path (source
+# pre-reduce for UPSERT/UPDATE, bucketed MERGE).
+
+KEYED_STMTS = {
+    "upsert": "UPSERT INTO '{t}' SELECT {cols} FROM {s} KEYED ON {keys}",
+    "update": "UPDATE '{t}' SET {col} = {val} FROM (SELECT * FROM {s}) "
+              "KEYED ON {keys}",
+    "merge": "MERGE INTO '{t}' AS tg USING {s} AS sr ON {on} "
+             "WHEN MATCHED THEN UPDATE SET {col} = sr.{val} "
+             "WHEN NOT MATCHED THEN INSERT ({ins}) VALUES ({vals})",
+}
+
+
+def _keyed_sql(stmt, t, s, keys, col, val, cols):
+    """One keyed write of source column ``val`` into target column ``col``
+    keyed on ``keys``; ``cols`` are the target columns with ``col`` taken
+    from ``val``."""
+    srcs = [val if c == col else c for c in cols]
+    return KEYED_STMTS[stmt].format(
+        t=t, s=s, keys=", ".join(keys), col=col, val=val,
+        cols=", ".join(val + " AS " + col if c == col else c for c in cols),
+        on=" AND ".join(f"tg.{k} = sr.{k}" for k in keys),
+        ins=", ".join(cols), vals=", ".join(f"sr.{c}" for c in srcs))
+
+
+def _sorted_rows(path, cols):
+    rows = pq.read_table(path).select(cols).to_pylist()
+    return sorted((tuple(r[c] for c in cols) for r in rows),
+                  key=lambda r: [(v is None, v if v is not None else 0)
+                                 for v in r])
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestKeyedWritePins:
+    """Behaviour every keyed file write keeps on both paths: NULL key
+    equals NULL key and (1, NULL) differs from (2, NULL); int64 values at
+    and above 2^53 with NULLs keep type and value; a source may add a
+    column or narrow an int type; an empty source still runs NOT MATCHED
+    BY SOURCE; an emptied file keeps its evolved types."""
+
+    @pytest.fixture(params=["driver", "forced"])
+    def path_mode(self, request, monkeypatch):
+        import qwery_ray.cdc.merge_stmt as ms
+        import qwery_ray.cdc.upsert as up
+
+        if request.param == "forced":
+            monkeypatch.setattr(ms, "MERGE_DISTRIBUTED_BYTES", 0)
+            monkeypatch.setattr(up, "SOURCE_PREREDUCE_BYTES", 0)
+        return request.param
+
+    @pytest.mark.parametrize("keys", [["a"], ["a", "b"]],
+                             ids=["single", "composite"])
+    @pytest.mark.parametrize("stmt", ["upsert", "update", "merge"])
+    def test_null_keys(self, tmp_path, path_mode, stmt, keys):
+        t = str(tmp_path / "t.parquet")
+        pq.write_table(pa.table({
+            "a": pa.array([1, 2, None, 3], pa.int64()),
+            "b": pa.array([None, None, None, 7], pa.int64()),
+            "v": pa.array([10, 20, 30, 40], pa.int64())}), t)
+        pq.write_table(pa.table({
+            "a": pa.array([1, None, 4], pa.int64()),
+            "b": pa.array([None, None, None], pa.int64()),
+            "nv": pa.array([91, 93, 94], pa.int64())}),
+            str(tmp_path / "s.parquet"))
+        res = _engine(tmp_path).sql(_keyed_sql(
+            stmt, t, "s", keys, "v", "nv", ["a", "b", "v"])).to_pylist()[0]
+        assert res["ROWS_UPDATED"] == 2
+        kept = [(1, None, 91), (2, None, 20), (3, 7, 40)]
+        if stmt == "update":
+            want = kept + [(None, None, 93)]
+        else:
+            assert res["ROWS_INSERTED"] == 1
+            want = kept + [(4, None, 94), (None, None, 93)]
+        assert _sorted_rows(t, ["a", "b", "v"]) == want
+
+    @pytest.mark.parametrize("stmt", ["upsert", "update", "merge"])
+    def test_int64_above_2_53_with_nulls(self, tmp_path, path_mode, stmt):
+        t = str(tmp_path / "t.parquet")
+        pq.write_table(pa.table({
+            "k": pa.array([1, 2, 3], pa.int64()),
+            "big": pa.array([2**53 + 1, None, 2**62 + 3], pa.int64()),
+            "v": pa.array([1, 2, 3], pa.int64())}), t)
+        pq.write_table(pa.table({
+            "k": pa.array([2, 4], pa.int64()),
+            "nbig": pa.array([2**60 + 7, None], pa.int64()),
+            "v": pa.array([20, 40], pa.int64())}),
+            str(tmp_path / "s.parquet"))
+        _engine(tmp_path).sql(_keyed_sql(
+            stmt, t, "s", ["k"], "big", "nbig", ["k", "big", "v"]))
+        back = pq.read_table(t)
+        assert back.schema.field("big").type == pa.int64()
+        got = dict(zip(back.column("k").to_pylist(),
+                       back.column("big").to_pylist()))
+        want = {1: 2**53 + 1, 2: 2**60 + 7, 3: 2**62 + 3}
+        if stmt != "update":
+            want[4] = None
+        assert got == want
+
+    @pytest.mark.parametrize("stmt", ["upsert", "update", "merge"])
+    def test_source_adds_column_and_narrows_int(self, tmp_path, path_mode,
+                                                stmt):
+        t = str(tmp_path / "t.parquet")
+        pq.write_table(pa.table({
+            "k": pa.array([1, 2, 3], pa.int64()),
+            "v": pa.array([10, 20, 30], pa.int64())}), t)
+        pq.write_table(pa.table({
+            "k": pa.array([2, 4], pa.int32()),
+            "nv": pa.array([200, 400], pa.int32()),
+            "x": pa.array(["p", "q"])}), str(tmp_path / "s.parquet"))
+        cols = ["k", "v", "x"] if stmt == "upsert" else ["k", "v"]
+        _engine(tmp_path).sql(_keyed_sql(
+            stmt, t, "s", ["k"], "v", "nv", cols))
+        back = pq.read_table(t)
+        assert back.schema.field("k").type == pa.int64()
+        assert back.schema.field("v").type == pa.int64()
+        want = [(1, 10), (2, 200), (3, 30)]
+        if stmt != "update":
+            want.append((4, 400))
+        assert _sorted_rows(t, ["k", "v"]) == want
+        if stmt == "upsert":
+            assert back.column_names == ["k", "v", "x"]
+            assert _sorted_rows(t, ["k", "x"]) == \
+                [(1, None), (2, "p"), (3, None), (4, "q")]
+        else:
+            assert back.column_names == ["k", "v"]
+
+    def test_empty_source_not_matched_by_source(self, workdir, path_mode):
+        res = _engine(workdir).sql("""
+            MERGE INTO inv AS t
+            USING (SELECT * FROM delta WHERE qty > 99999) AS s
+            ON t.id = s.id
+            WHEN MATCHED THEN UPDATE SET qty = s.qty
+            WHEN NOT MATCHED BY SOURCE AND t.qty > 40 THEN DELETE
+            WHEN NOT MATCHED BY SOURCE AND t.qty >= 30
+                THEN UPDATE SET status = 'stale'
+        """).to_pylist()[0]
+        assert (res["ROWS_INSERTED"], res["ROWS_UPDATED"],
+                res["ROWS_DELETED"]) == (0, 2, 1)
+        assert _sorted_rows(str(workdir / "inv.parquet"),
+                            ["id", "qty", "status"]) == \
+            [(1, 10, "old"), (2, 20, "old"), (3, 30, "stale"),
+             (4, 40, "stale")]
+
+    @pytest.mark.parametrize("stmt", ["upsert", "merge"])
+    def test_delete_all_then_insert(self, tmp_path, path_mode, stmt):
+        p = str(tmp_path / "t.parquet")
+        pq.write_table(pa.table({
+            "k": pa.array([1, 2], pa.int64()),
+            "v": pa.array([10, 20], pa.int64()),
+            "x1": pa.array([None, None], pa.int64())}), p)
+        eng = _engine(tmp_path)
+        eng.sql(f"DELETE FROM '{p}'")
+        assert pq.read_table(p).num_rows == 0
+        src = "(SELECT * FROM (VALUES (5, 50)) s(k, nv))"
+        if stmt == "upsert":
+            eng.sql(f"UPSERT INTO '{p}' SELECT k, nv AS v FROM {src} "
+                    f"KEYED ON k")
+        else:
+            eng.sql(f"MERGE INTO '{p}' AS tg USING {src} AS sr "
+                    f"ON tg.k = sr.k WHEN NOT MATCHED THEN "
+                    f"INSERT (k, v) VALUES (sr.k, sr.nv)")
+        sch = pq.read_schema(p)
+        assert [(f.name, f.type) for f in sch] == \
+            [("k", pa.int64()), ("v", pa.int64()), ("x1", pa.int64())]
+        assert pq.read_table(p).to_pylist() == \
+            [{"k": 5, "v": 50, "x1": None}]
