@@ -19,13 +19,23 @@ Pipeline per LSN chunk (one transaction):
       → one merge task per touched partition (MergePartitionFS):
           bounded incremental LWW reduce over the partition's shuffle slices
           → copy-on-write against the current lake file → staged write
-      → driver: atomic manifest swap                   # the ONLY visibility point
+      → driver, under the commit lock: validate, move staged files in,
+        atomic manifest swap                           # the ONLY visibility point
 
 The manifest-as-atomic-pointer + staged-files commit protocol follows the
 public Delta Lake design (Armbrust et al., "Delta Lake: High-Performance ACID
 Table Storage over Cloud Object Stores", VLDB 2020): mutators write data
 files first, then commit by atomically advancing a log/manifest; readers only
-ever see committed versions.
+ever see committed versions. Transactions are optimistic and validate ONCE,
+at the commit point, inside the lake's only critical section: an exclusive
+``flock`` on ``<lake>/_commit.lock``. The kernel drops a flock when its
+holder exits, so a crashed writer never wedges the lake (no timeout, no
+stale-break); the file is created once and never removed. Everything that
+reads the manifest to decide a write, or deletes files, runs under that
+lock: the base-version check, the ``expect_watermark`` check
+(:class:`CommitConflict`), the file moves, the manifest write, and the GC
+of commit, ``compact()`` and ``vacuum()``. The lake directory therefore
+needs a filesystem with working ``flock`` (local POSIX, NFSv4).
 
 Exactly-once: the driver clears a txn's shuffle dir before any attempt, final
 staged files are deterministically named by (txn, partition), and duplicate
@@ -44,11 +54,12 @@ both parallelism and the unit of recovery — use ≳ 4× total cores.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 import shutil
-from dataclasses import dataclass
+from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
@@ -235,17 +246,6 @@ def lww_winner_indices(batch: pa.Table,
     df = pl.DataFrame(data).with_row_index("__i")
     win = df.sort("lsn").group_by(list(key_cols)).last()
     return np.sort(win["__i"].to_numpy())
-
-
-@dataclass
-class PartitionMetrics:
-    partition_id: int
-    staged_file: str
-    rows: int
-    last_lsn: int
-    upserts: int
-    deletes: int
-    bytes_written: int
 
 
 def resolve_with_deltas(base: Optional[pa.Table], deltas: list[pa.Table],
@@ -551,6 +551,18 @@ class _InflightReporter:
                 return  # lake dir vanished (test teardown) — stop quietly
 
 
+class CommitConflict(RuntimeError):
+    """``replay(..., expect_watermark=wm)`` found the lake's watermark off
+    ``wm``: another writer committed since the caller's snapshot, and
+    nothing was applied."""
+
+
+def _check_watermark(manifest: dict, expect: Optional[int]) -> None:
+    if expect is not None and manifest["watermark_lsn"] != expect:
+        raise CommitConflict(f"lake watermark is {manifest['watermark_lsn']}"
+                             f", expected {expect}")
+
+
 class CDCLakeEngine:
     """Partitioned parquet lake + manifest; replay(), resume, verify."""
 
@@ -618,7 +630,9 @@ class CDCLakeEngine:
         """Atomic rename — the single visibility point (two-phase commit).
         Each committed version is also written to ``_versions/v{N}.json``
         (the Delta-log analog), enabling ``dataset(version=N)`` snapshot
-        reads for the last ``TIME_TRAVEL_RETAIN`` versions."""
+        reads for the last ``TIME_TRAVEL_RETAIN`` versions. The caller
+        holds :meth:`_commit_lock` and has validated its base against the
+        current manifest under it; nothing here checks again."""
         payload = json.dumps(manifest, indent=1, sort_keys=True)
         tmp = self.manifest_path + ".tmp"
         with open(tmp, "w") as f:
@@ -662,23 +676,20 @@ class CDCLakeEngine:
         state is still exactly 'events ≤ hi_k'), then merges+commits the
         transactions in order — the map side's fixed cost is paid once.
 
-        ``expect_watermark``: optimistic-concurrency guard — when set and
-        the manifest watermark differs, NOTHING is applied and the current
-        manifest returns unchanged. Callers that stamp event LSNs against
-        a snapshot (MERGE INTO lake) use this so a concurrent commit can
-        never cause a PARTIAL application of their events (all-or-nothing;
-        the caller detects the no-op via lineage and recomputes)."""
+        ``expect_watermark``: optimistic-concurrency guard for callers that
+        stamp event LSNs against a snapshot (MERGE INTO lake). Each txn
+        commits only if the lake's watermark is still the start of its span
+        (the first txn's is ``expect_watermark``); otherwise replay raises
+        :class:`CommitConflict` and applies nothing more. The check runs
+        under the commit lock and before every committed-txn short-circuit,
+        so another writer's txn over the same span never reads as ours."""
         lo_bound, hi_bound = self._events_lsn_range(events_path)
         if max_lsn is not None:
             hi_bound = min(hi_bound, max_lsn)
         manifest = self.load_manifest()
+        _check_watermark(manifest, expect_watermark)
+        guarded = expect_watermark is not None
         start = manifest["watermark_lsn"]
-        if expect_watermark is not None and start != expect_watermark:
-            stale = dict(manifest)
-            stale["__stale"] = True  # explicit applied/not-applied signal:
-            # a span match in someone ELSE's lineage must never read as
-            # "our transaction committed"
-            return stale
         if chunk_lsns is None:
             chunk_lsns = max(1, hi_bound - start)
         chunks = []
@@ -749,11 +760,14 @@ class CDCLakeEngine:
                 if w + 1 < len(waves):
                     job = _MapJob(run_map, waves[w + 1])
                 for (l, h) in wave:
-                    manifest = self.apply_chunk(events_path, l, h, manifest,
-                                                premapped=True)
+                    manifest = self.apply_chunk(
+                        events_path, l, h, manifest, premapped=True,
+                        expect_watermark=l if guarded else None)
         else:
             for l, h in chunks:
-                manifest = self.apply_chunk(events_path, l, h, manifest)
+                manifest = self.apply_chunk(
+                    events_path, l, h, manifest,
+                    expect_watermark=l if guarded else None)
         return manifest
 
     def _map_all(self, events_path: str, chunks) -> None:
@@ -843,10 +857,13 @@ class CDCLakeEngine:
 
     def apply_chunk(self, events_path: str, lo: int, hi: int,
                     manifest: Optional[dict] = None, *,
-                    premapped: bool = False) -> dict:
+                    premapped: bool = False,
+                    expect_watermark: Optional[int] = None) -> dict:
         """One transaction: apply events with lo < lsn <= hi. Idempotent.
         ``premapped=True`` (pipelined replay) skips the map/shuffle phase —
-        _map_all already populated this txn's shuffle dir."""
+        _map_all already populated this txn's shuffle dir. With
+        ``expect_watermark`` it commits only onto that watermark, else
+        raises :class:`CommitConflict` (see :meth:`replay`)."""
         import time as _time
 
         trace = os.environ.get("QWERY_CDC_TIMING") == "1"
@@ -854,6 +871,7 @@ class CDCLakeEngine:
 
         manifest = manifest or self.load_manifest()
         txn = f"txn-{lo:012d}-{hi:012d}"
+        _check_watermark(manifest, expect_watermark)
         if txn in manifest["committed_txns"]:
             return manifest  # exactly-once: committed ranges are no-ops
 
@@ -868,12 +886,17 @@ class CDCLakeEngine:
         try:
             return self._apply_chunk_inner(events_path, lo, hi, manifest,
                                            txn, shuffle_dir, reporter,
-                                           premapped, trace, t_start)
+                                           premapped, trace, t_start,
+                                           expect_watermark)
+        except CommitConflict:
+            self._drop_staging(txn)
+            raise
         finally:
             reporter.stop()
 
     def _apply_chunk_inner(self, events_path, lo, hi, manifest, txn,
-                           shuffle_dir, reporter, premapped, trace, t_start):
+                           shuffle_dir, reporter, premapped, trace, t_start,
+                           expect_watermark):
         import time as _time
 
         if not premapped:
@@ -917,14 +940,18 @@ class CDCLakeEngine:
         # unchanged (Delta-style OCC). A concurrent writer advancing the
         # manifest forces a RE-MERGE against the fresh files (the shuffle
         # output is version-independent, so only the COW phase repeats).
+        # The watermark check precedes each committed-txn short-circuit: a
+        # txn of the same name committed by ANOTHER writer's events is a
+        # conflict, not ours.
         touched = self._touched_partitions(shuffle_dir)
         reporter.n_touched = len(touched)
         reporter.phase = "merge"
         for attempt in range(4):
             base = self.load_manifest()
+            _check_watermark(base, expect_watermark)
             if txn in base["committed_txns"]:
                 # a concurrent replayer beat us to this txn: exactly-once
-                shutil.rmtree(self._writer_staging(txn), ignore_errors=True)
+                self._drop_staging(txn)
                 return base
             try:
                 metrics = self._run_merge(base, txn, shuffle_dir, touched)
@@ -938,9 +965,9 @@ class CDCLakeEngine:
                 t_merge = _time.perf_counter()
             with self._commit_lock():
                 current = self.load_manifest()
+                _check_watermark(current, expect_watermark)
                 if txn in current["committed_txns"]:
-                    shutil.rmtree(self._writer_staging(txn),
-                                  ignore_errors=True)
+                    self._drop_staging(txn)
                     return current
                 if current["version"] == base["version"]:
                     out = self._commit_txn(base, txn, lo, hi, metrics,
@@ -964,6 +991,15 @@ class CDCLakeEngine:
         never clobbered mid-read."""
         return os.path.join(self.lake_dir, "_staging", txn,
                             f"w-{self._writer_id}")
+
+    def _drop_staging(self, txn: str) -> None:
+        """Remove this writer's staging for a txn, and the txn's staging
+        dir once no other writer is left in it."""
+        shutil.rmtree(self._writer_staging(txn), ignore_errors=True)
+        try:
+            os.rmdir(os.path.join(self.lake_dir, "_staging", txn))
+        except OSError:
+            pass
 
     def _run_merge(self, manifest: dict, txn: str, shuffle_dir: str,
                    touched: list):
@@ -1067,52 +1103,25 @@ class CDCLakeEngine:
         # remove only THIS writer's staging: a concurrent (losing) writer may
         # still be map-writing into its own w-{id} subdir of the same txn —
         # it discards that itself once it observes the committed txn
-        shutil.rmtree(self._writer_staging(txn), ignore_errors=True)
-        try:  # parent txn dir, if no other writer is left in it
-            os.rmdir(os.path.join(self.lake_dir, "_staging", txn))
-        except OSError:
-            pass
+        self._drop_staging(txn)
         self._gc_superseded(manifest)
         return manifest
 
-    def _commit_lock(self, timeout: float = 60.0, stale: float = 120.0):
-        """Exclusive lake commit lock (O_CREAT|O_EXCL lock file; locks older
-        than ``stale`` seconds are broken — crashed writers cannot wedge the
-        lake). Serializes only the commit critical section."""
-        import time as _time
-        from contextlib import contextmanager
-
-        path = os.path.join(self.lake_dir, "_commit.lock")
-
-        @contextmanager
-        def lock():
-            start = _time.time()
-            while True:
-                try:
-                    fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                    os.write(fd, str(os.getpid()).encode())
-                    os.close(fd)
-                    break
-                except FileExistsError:
-                    try:
-                        if _time.time() - os.path.getmtime(path) > stale:
-                            os.remove(path)
-                            continue
-                    except FileNotFoundError:
-                        continue
-                    if _time.time() - start > timeout:
-                        raise TimeoutError(
-                            f"commit lock at {path} held > {timeout}s")
-                    _time.sleep(0.05)
-            try:
-                yield
-            finally:
-                try:
-                    os.remove(path)
-                except FileNotFoundError:
-                    pass
-
-        return lock()
+    @contextmanager
+    def _commit_lock(self):
+        """The lake's one critical section: an exclusive ``flock`` on
+        ``<lake>/_commit.lock``. The kernel releases it when the holder
+        closes the file or exits, so a crashed writer never wedges the lake.
+        The file is never removed: a waiter could otherwise lock the old
+        inode while a newcomer locks a new one. flock excludes a second
+        open of the file in the SAME process too, so it is not re-entrant."""
+        fd = os.open(os.path.join(self.lake_dir, "_commit.lock"),
+                     os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            yield
+        finally:
+            os.close(fd)
 
     @staticmethod
     def _collect_shuffle_index(stats: rd.Dataset) -> None:
@@ -1148,7 +1157,9 @@ class CDCLakeEngine:
     def _gc_superseded(self, manifest: dict):
         """Remove partition files not referenced by any RETAINED manifest
         version (the last TIME_TRAVEL_RETAIN snapshots stay readable);
-        expired version files are dropped with them."""
+        expired version files are dropped with them. The caller holds
+        :meth:`_commit_lock`: a file moved in by a commit whose manifest is
+        not yet written looks unreferenced."""
         vdir = os.path.join(self.lake_dir, "_versions")
         retained = self.versions()
         expired = retained[:-self.TIME_TRAVEL_RETAIN] \
@@ -1240,8 +1251,8 @@ class CDCLakeEngine:
                     info["lineage"] = info.get("lineage", []) + [label]
                 current["version"] += 1
                 self._commit_manifest(current)
+                self._gc_superseded(current)
             shutil.rmtree(staged_dir, ignore_errors=True)
-            self._gc_superseded(current)
             return current
         raise RuntimeError("compact() lost the commit race 4 times — "
                            "retry when the writer load quiets down")
@@ -1252,29 +1263,32 @@ class CDCLakeEngine:
         ``VACUUM`` surface; the same GC runs automatically at commit with
         the default TIME_TRAVEL_RETAIN). ``retain`` overrides the horizon
         for this call — minimum 1, the current version always stays.
-        Returns {files_removed, versions_dropped, version}."""
+        Returns {files_removed, versions_dropped, version}. Runs under the
+        commit lock, so it never sees a commit's moved-in files before
+        that commit's manifest."""
         part_dir = os.path.join(self.lake_dir, "partitions")
         vdir = os.path.join(self.lake_dir, "_versions")
 
         def _listing(d):
             return set(os.listdir(d)) if os.path.isdir(d) else set()
 
-        files_before = _listing(part_dir)
-        versions_before = _listing(vdir)
-        if retain is not None:
-            # instance attribute shadows the class default for this call
-            self.TIME_TRAVEL_RETAIN = max(1, int(retain))
-        try:
-            manifest = self.load_manifest()
-            self._gc_superseded(manifest)
-        finally:
+        with self._commit_lock():
+            files_before = _listing(part_dir)
+            versions_before = _listing(vdir)
             if retain is not None:
-                del self.TIME_TRAVEL_RETAIN
-        return {
-            "files_removed": len(files_before - _listing(part_dir)),
-            "versions_dropped": len(versions_before - _listing(vdir)),
-            "version": self.load_manifest()["version"],
-        }
+                # instance attribute shadows the class default for this call
+                self.TIME_TRAVEL_RETAIN = max(1, int(retain))
+            try:
+                manifest = self.load_manifest()
+                self._gc_superseded(manifest)
+            finally:
+                if retain is not None:
+                    del self.TIME_TRAVEL_RETAIN
+            return {
+                "files_removed": len(files_before - _listing(part_dir)),
+                "versions_dropped": len(versions_before - _listing(vdir)),
+                "version": manifest["version"],
+            }
 
     # ---------------------------------------------------------------- read
     def dataset(self, version: Optional[int] = None) -> rd.Dataset:

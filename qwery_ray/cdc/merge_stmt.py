@@ -29,7 +29,11 @@ the same :func:`_apply_merge`. Work scales with the partitions and keys
 the source reaches; only the source is shuffled, never the lake. A ``NOT
 MATCHED BY SOURCE`` arm can reach every row, so it reads the whole lake.
 The changed rows commit as ONE exactly-once transaction of LWW events
-through ``CDCLakeEngine.replay``.
+through ``CDCLakeEngine.replay(expect_watermark=wm)``, where ``wm`` is the
+snapshot's watermark. The lake validates ``wm`` once, at the commit point
+under its commit lock, and raises ``CommitConflict`` having applied nothing
+if another writer committed first; the MERGE then recomputes against the
+new snapshot. Concurrent MERGEs need no lock of their own.
 
 ANSI semantics implemented (every path — the bucket and partition tasks
 call the same function the driver path does):
@@ -55,9 +59,6 @@ call the same function the driver path does):
 from __future__ import annotations
 
 import os
-import threading
-import time
-import uuid
 
 import numpy as np
 import pyarrow as pa
@@ -345,8 +346,7 @@ def _tagged_merge_core(stmt: A.Merge, ds_t, tschema: pa.Schema,
     dataset (target schema + ``__mrg_action``)."""
     import ray
 
-    from ..ops.dedup import _drop_empty_blocks
-    from ..sqlc.compiler import AddBucketCol
+    from ..sqlc.compiler import AddBucketCol, _drop_empty_blocks
 
     conform = PadToSchema(
         pa.schema(list(tschema) + [pa.field(_ACTION, pa.string())]))
@@ -456,7 +456,7 @@ def _merge_distributed(stmt: A.Merge, path: str, src_ds, ta: str, sa: str,
     the bucket, as the driver path does within the whole table."""
     import ray.data as rd
 
-    from ..ops.dedup import _drop_empty_blocks
+    from ..sqlc.compiler import _drop_empty_blocks
 
     if os.path.isdir(path):
         raise ValueError(
@@ -495,91 +495,6 @@ def _merge_distributed(stmt: A.Merge, path: str, src_ds, ta: str, sa: str,
     return _counts_table(counts)
 
 
-class _MergeLock:
-    """The merge-exclusive advisory lock file ``<lake>/_merge.lock``.
-
-    The holder writes an owner token (pid + uuid) into the file and
-    touches it every ``STALE_S / 10`` seconds while it holds it, so a live
-    holder never looks stale however long its merge runs. A waiter breaks a
-    lock only if it is older than ``STALE_S`` (its holder crashed) and
-    still holds the token the waiter first read; a release removes the
-    file only if it still holds our own token, so a holder whose lock was
-    broken never deletes its successor's lock."""
-
-    STALE_S = 300.0
-    WAIT_S = 60.0
-    POLL_S = 0.2
-
-    def __init__(self, path: str):
-        self.path = path
-        self.token = f"{os.getpid()}-{uuid.uuid4().hex}"
-        self._stop = None
-
-    def _read(self):
-        try:
-            with open(self.path) as f:
-                return f.read()
-        except FileNotFoundError:
-            return None
-
-    def _age(self) -> float:
-        try:
-            return time.time() - os.path.getmtime(self.path)
-        except FileNotFoundError:
-            return 0.0
-
-    def acquire(self) -> None:
-        deadline = time.monotonic() + self.WAIT_S
-        while True:
-            try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                held = self._read()
-                if held is not None and self._age() > self.STALE_S \
-                        and self._read() == held:
-                    try:
-                        os.remove(self.path)  # stale: holder crashed
-                    except FileNotFoundError:
-                        pass
-                    continue
-                if time.monotonic() > deadline:
-                    raise RuntimeError(
-                        f"MERGE INTO lake: could not acquire {self.path} — "
-                        f"another merge holds it ({held!r}); remove the "
-                        f"lock file if its holder is gone")
-                time.sleep(self.POLL_S)
-                continue
-            with os.fdopen(fd, "w") as f:
-                f.write(self.token)
-            return
-
-    def release(self) -> None:
-        if self._read() == self.token:
-            try:
-                os.remove(self.path)
-            except FileNotFoundError:
-                pass
-
-    def _heartbeat(self) -> None:
-        while not self._stop.wait(self.STALE_S / 10):
-            if self._read() != self.token:
-                return
-            try:
-                os.utime(self.path)
-            except OSError:
-                return
-
-    def __enter__(self) -> "_MergeLock":
-        self.acquire()
-        self._stop = threading.Event()
-        threading.Thread(target=self._heartbeat, daemon=True).start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._stop.set()
-        self.release()
-
-
 def merge_into_lake(session, stmt: A.Merge, path: str) -> pa.Table:
     """ANSI MERGE INTO an exactly-once CDC LAKE target (r5 superset).
 
@@ -593,8 +508,7 @@ def merge_into_lake(session, stmt: A.Merge, path: str) -> pa.Table:
     keys must be exactly the lake's key columns; unchanged keys produce no
     events. Reference parity: ops/sql/Upsert.scala is the row-at-a-time
     ancestor; the arms are the SQL:2003 superset."""
-    from ..ops.dedup import _drop_empty_blocks
-    from ..sqlc.compiler import _env as compiler_env
+    from ..sqlc.compiler import _drop_empty_blocks, _env as compiler_env
     from .engine import CDCLakeEngine
 
     eng = CDCLakeEngine.open(path)
@@ -607,17 +521,16 @@ def merge_into_lake(session, stmt: A.Merge, path: str) -> pa.Table:
     src_mat = _drop_empty_blocks(src_ds.materialize())
 
     # Optimistic concurrency: the merge computes against the snapshot at
-    # watermark ``wm`` and stamps its events wm+1…; replay applies
-    # ALL-OR-NOTHING via expect_watermark (its return carries an explicit
-    # __stale marker — a SPAN match in someone else's lineage must never
-    # read as "ours committed"), and a merge-exclusive advisory lock
-    # serializes concurrent lake MERGEs (two merges passing the
-    # expect-check in the same window would last-rename-wins clobber one
-    # manifest). Non-merge writers (UPSERT … WITH LAKE) are still free:
-    # their commits flip the watermark and this loop recomputes.
-    with _MergeLock(os.path.join(path, "_merge.lock")):
-        return _run_lake_merge_attempts(stmt, eng, ta, sa, env, src_mat,
-                                        _source_schema(src_mat, lazy_schema))
+    # watermark ``wm`` and stamps its events wm+1…. replay(expect_watermark=
+    # wm) validates that watermark once, at the commit point under the
+    # lake's commit lock, and raises CommitConflict having applied nothing
+    # when any writer (another MERGE, UPSERT … WITH LAKE, a replay)
+    # committed first; this loop then recomputes against the new snapshot.
+    # Two MERGEs from one snapshot stamp the same txn name, so the check
+    # also runs before replay's committed-txn short-circuits: the loser
+    # must never take the winner's txn for its own.
+    return _run_lake_merge_attempts(stmt, eng, ta, sa, env, src_mat,
+                                    _source_schema(src_mat, lazy_schema))
 
 
 def _run_lake_merge_attempts(stmt, eng, ta, sa, env, src_mat,
@@ -628,6 +541,7 @@ def _run_lake_merge_attempts(stmt, eng, ta, sa, env, src_mat,
     import ray
     import ray.data as rd
 
+    from .engine import CommitConflict
     from .upsert import block_offsets
 
     for _attempt in range(5):
@@ -678,18 +592,12 @@ def _run_lake_merge_attempts(stmt, eng, ta, sa, env, src_mat,
         staging = tempfile.mkdtemp(prefix="qwery_merge_events_")
         try:
             ev.write_parquet(staging)
-            # all-or-nothing: replay aborts (applies NOTHING) if the
-            # watermark moved — a concurrent commit can never cause a
-            # partial application of this merge's events
-            m2 = eng.replay(staging, expect_watermark=wm)
+            eng.replay(staging, expect_watermark=wm)
+            break  # our transaction committed
+        except CommitConflict:
+            continue  # applied nothing: recompute on the new snapshot
         finally:
             shutil.rmtree(staging, ignore_errors=True)
-        # lineage spans are (lo = previous watermark exclusive, hi];
-        # __stale = replay explicitly applied nothing (stale snapshot)
-        if not m2.get("__stale") and any(
-                int(t["lo"]) == wm and int(t["hi"]) == wm + n_changed
-                for t in m2.get("lineage", [])):
-            break  # our transaction committed
     else:
         raise RuntimeError(
             "MERGE INTO lake: lost the optimistic-concurrency race 5 "
@@ -716,7 +624,7 @@ def _co_partitioned_merge(stmt: A.Merge, eng, manifest: dict,
     has anything to do."""
     import ray.data as rd
 
-    from ..ops.dedup import _drop_empty_blocks
+    from ..sqlc.compiler import _drop_empty_blocks
     from .engine import joined_key, key_hash_partition_cols, \
         resolve_with_deltas
 

@@ -788,42 +788,6 @@ def connected_components(pairs: rd.Dataset, *, id_a: str = "id_a",
     return labels
 
 
-def _drop_empty_blocks(mat: rd.Dataset) -> rd.Dataset:
-    """Strip zero-row blocks from a MATERIALIZED dataset (metadata-only:
-    block refs stay in the object store, nothing is fetched or moved).
-
-    Ray 2.49's hash-shuffle groupby emits a block per hash partition, and
-    EMPTY partitions come out with a zero-column `()` schema; map_batches
-    then SKIPS empty blocks, so per-block renames never normalize them and
-    any later Dataset.join chokes on the mixed schema ("No match or
-    multiple matches for key field reference"). Dropping the empties fixes
-    the schema and sheds dead blocks. KEEP IN SYNC with the
-    lazy-tolerant twin, sqlc/compiler.py::_drop_empty_blocks (same three
-    hardenings: pandas probe, num_rows=None kept, guarded re-wrap)."""
-    # from_arrow_refs assumes Arrow blocks; a pandas-format dataset
-    # (base_schema is a PandasBlockSchema) must pass through untouched
-    try:
-        base = getattr(mat.schema(), "base_schema", None)
-    except Exception:
-        base = None
-    if base is not None and not isinstance(base, pa.Schema):
-        return mat
-    # num_rows is Optional in Ray BlockMetadata: None = UNKNOWN count —
-    # conservatively KEEP those blocks (only drop a provably-0 block)
-    refs = [ref for bundle in mat.iter_internal_ref_bundles()
-            for ref, meta in bundle.blocks
-            if meta.num_rows is None or meta.num_rows]
-    if not refs:
-        return mat.limit(0)
-    try:
-        return rd.from_arrow_refs(refs)
-    except (TypeError, ValueError):
-        # a non-Arrow block slipped past the base_schema probe — keep the
-        # dataset intact rather than mistype it; anything else (Ray API
-        # failure) must surface, not be masked as "unchanged"
-        return mat
-
-
 def _cc_join_rounds(edges: rd.Dataset, labels: rd.Dataset,
                     max_rounds: int) -> rd.Dataset:
     """Min-label propagation rounds where the label push is a
@@ -833,7 +797,8 @@ def _cc_join_rounds(edges: rd.Dataset, labels: rd.Dataset,
     groupby per round over narrow (int64, int64) rows only."""
     import ray
 
-    from ..sqlc.compiler import _join_partitions, _shuffle_join
+    from ..sqlc.compiler import _drop_empty_blocks, _join_partitions, \
+        _shuffle_join
 
     ncpu = int(ray.cluster_resources().get("CPU", 8)) \
         if ray.is_initialized() else 8

@@ -2287,16 +2287,18 @@ def _drop_empty_blocks(ds: rd.Dataset) -> rd.Dataset:
 
     Ray 2.49 never runs map UDFs on empty blocks and stores them as
     ZERO-COLUMN tables, so an empty-result subplan (e.g. a union arm whose
-    filter dropped every row) leaves schema-less empty blocks in the
-    stream; pyarrow's hash join inside Ray's shuffle aggregator then dies
-    with "No match for key field …". Only block REFS move here —
+    filter dropped every row, or an empty hash partition of a groupby)
+    leaves schema-less empty blocks in the stream; pyarrow's hash join
+    inside Ray's shuffle aggregator then dies with "No match for key
+    field …". Only block REFS move here —
     from_arrow_refs re-wraps the surviving object-store blocks without
     copying data through the driver. Lazy inputs pass through untouched
     (no forced materialization barrier)."""
     if not isinstance(ds, rd.dataset.MaterializedDataset):
         return ds
     try:
-        pairs = list(ds._plan.execute().blocks)
+        pairs = [pair for bundle in ds.iter_internal_ref_bundles()
+                 for pair in bundle.blocks]
     except Exception:
         return ds
     # from_arrow_refs below assumes every block is an Arrow table; a
@@ -2330,9 +2332,7 @@ def _drop_empty_blocks(ds: rd.Dataset) -> rd.Dataset:
     except (TypeError, ValueError):
         # a non-Arrow block slipped past the base_schema probe — keep the
         # dataset intact rather than mistype it; anything else (Ray API
-        # failure) must surface. KEEP IN SYNC with the materialized-
-        # dataset twin, ops/dedup.py::_drop_empty_blocks (same three
-        # hardenings: pandas probe, num_rows=None kept, guarded re-wrap).
+        # failure) must surface
         return ds
 
 

@@ -269,22 +269,105 @@ class TestMultiWriterOCC:
         assert sha256_of_table(eng.table()) == \
             sha256_of_state(naive_replay(ev))
 
-    def test_stale_lock_is_broken(self, tmp_path):
-        import time
+    def test_killed_holder_releases_lock(self, tmp_path):
+        """A writer SIGKILLed inside the commit lock must not wedge the
+        lake: the kernel releases its lock when the process dies."""
+        import signal
+        import subprocess
+        import sys
+        import threading
 
         from qwery_ray.cdc.engine import CDCLakeEngine
 
         lake = str(tmp_path / "lake2")
         eng = CDCLakeEngine(lake, num_partitions=2)
-        lock_path = f"{lake}/_commit.lock"
-        open(lock_path, "w").write("999999")
-        old = time.time() - 1000
-        import os as _os
+        holder = (
+            "import os, signal, sys\n"
+            "from qwery_ray.cdc.engine import CDCLakeEngine\n"
+            "lock = CDCLakeEngine(sys.argv[1], num_partitions=2)"
+            "._commit_lock()\n"
+            "lock.__enter__()\n"
+            "print('held', flush=True)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n")
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", holder, lake], capture_output=True,
+            text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": repo})
+        assert proc.stdout == "held\n", proc.stderr
+        assert proc.returncode == -signal.SIGKILL
+        entered = threading.Event()
 
-        _os.utime(lock_path, (old, old))
-        with eng._commit_lock(timeout=5, stale=120):
-            pass  # stale lock must have been broken, not time out
-        assert not _os.path.exists(lock_path)
+        def take():
+            with eng._commit_lock():
+                entered.set()
+
+        taker = threading.Thread(target=take, daemon=True)
+        taker.start()
+        assert entered.wait(timeout=5)
+        taker.join(timeout=5)
+        assert not taker.is_alive()
+
+
+class TestGcUnderCommitLock:
+    """VACUUM and compaction GC run under the commit lock: started while a
+    commit has moved its new files in but not yet written its manifest,
+    they wait for that commit instead of deleting its files."""
+
+    @pytest.mark.parametrize("maintenance", ["vacuum", "compact"])
+    def test_gc_waits_for_inflight_commit(self, ray_session, tmp_path,
+                                          monkeypatch, maintenance):
+        import threading
+
+        from qwery_ray.cdc.engine import CDCLakeEngine
+        from qwery_ray.cdc.oracle import (naive_replay, sha256_of_state,
+                                          sha256_of_table)
+        from qwery_ray.cdc.synth import synth_change_events
+
+        events = str(tmp_path / "events")
+        synth_change_events(events, n_keys=400, n_events=1100, seed=3,
+                            n_segments=2)
+        lake = str(tmp_path / "lake")
+        eng = CDCLakeEngine(lake, num_partitions=4, merge_mode="auto")
+        eng.replay(events, max_lsn=1000, chunk_lsns=1000)
+        eng.replay(events, max_lsn=1050, chunk_lsns=50)  # pending deltas
+        assert any(i.get("deltas")
+                   for i in eng.load_manifest()["partitions"].values())
+
+        real_commit_manifest = CDCLakeEngine._commit_manifest
+        workers, errs = [], []
+
+        def maintain():
+            try:
+                getattr(CDCLakeEngine.open(lake), maintenance)()
+            except Exception as e:  # surfaced below
+                errs.append(e)
+
+        def commit_manifest_racing_gc(self_eng, manifest):
+            if not workers:
+                # flock excludes a second open in the same thread too, so
+                # the maintenance call must run on its own thread
+                workers.append(threading.Thread(target=maintain))
+                workers[0].start()
+                workers[0].join(timeout=2)
+            return real_commit_manifest(self_eng, manifest)
+
+        monkeypatch.setattr(CDCLakeEngine, "_commit_manifest",
+                            commit_manifest_racing_gc)
+        eng.replay(events, chunk_lsns=50)
+        workers[0].join(timeout=120)
+        assert not workers[0].is_alive()
+        assert not errs, errs
+        m = eng.load_manifest()
+        assert m["watermark_lsn"] == 1100
+        if maintenance == "compact":
+            assert not any(i.get("deltas") for i in m["partitions"].values())
+        for info in m["partitions"].values():
+            for rel in [info["file"]] + [d["file"] for d in
+                                         info.get("deltas") or []]:
+                assert os.path.exists(os.path.join(lake, rel)), rel
+        assert sha256_of_table(eng.table()) == \
+            sha256_of_state(naive_replay(events))
 
 
 class TestTimeTravel:

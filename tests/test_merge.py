@@ -866,92 +866,6 @@ class TestMergeIntoLake:
         assert t.schema.field("k").type == pa.int64()
 
 
-def _locked_increments(lock_path, counter, n):
-    """Worker: ``n`` read-modify-write increments of ``counter``, each
-    under the merge lock."""
-    import time
-
-    from qwery_ray.cdc.merge_stmt import _MergeLock
-
-    _MergeLock.POLL_S = 0.005
-    for _ in range(n):
-        with _MergeLock(lock_path):
-            with open(counter) as f:
-                v = int(f.read())
-            time.sleep(0.002)
-            with open(counter, "w") as f:
-                f.write(str(v + 1))
-
-
-class TestMergeLock:
-    """The lake's ``_merge.lock``: an owner token decides who may remove
-    it."""
-
-    def test_contending_processes_lose_no_update(self, tmp_path):
-        import multiprocessing
-
-        lock, counter = str(tmp_path / "_merge.lock"), str(tmp_path / "n")
-        with open(counter, "w") as f:
-            f.write("0")
-        nproc = len(os.sched_getaffinity(0)) + 2
-        ctx = multiprocessing.get_context("spawn")
-        procs = [ctx.Process(target=_locked_increments,
-                             args=(lock, counter, 10))
-                 for _ in range(nproc)]
-        for p in procs:
-            p.start()
-        for p in procs:
-            p.join(timeout=120)
-        assert not any(p.is_alive() for p in procs)
-        assert [p.exitcode for p in procs] == [0] * nproc
-        assert int(open(counter).read()) == 10 * nproc
-        assert not os.path.exists(lock)
-
-    def test_foreign_token_survives_our_release(self, tmp_path):
-        from qwery_ray.cdc.merge_stmt import _MergeLock
-
-        path = str(tmp_path / "_merge.lock")
-        with _MergeLock(path) as lock:
-            assert open(path).read() == lock.token
-            # our lock was broken as stale and another merge took it
-            with open(path, "w") as f:
-                f.write("4242-foreign")
-        assert open(path).read() == "4242-foreign"
-
-    def test_only_a_stale_lock_is_broken(self, tmp_path, monkeypatch):
-        import time
-
-        from qwery_ray.cdc.merge_stmt import _MergeLock
-
-        monkeypatch.setattr(_MergeLock, "WAIT_S", 0.3)
-        path = str(tmp_path / "_merge.lock")
-        with open(path, "w") as f:
-            f.write("4242-live")
-        with pytest.raises(RuntimeError, match="could not acquire"):
-            _MergeLock(path).acquire()
-        assert open(path).read() == "4242-live"
-        old = time.time() - _MergeLock.STALE_S - 10
-        os.utime(path, (old, old))
-        lock = _MergeLock(path)
-        lock.acquire()
-        assert open(path).read() == lock.token
-        lock.release()
-        assert not os.path.exists(path)
-
-    def test_holder_keeps_its_lock_fresh(self, tmp_path, monkeypatch):
-        import time
-
-        from qwery_ray.cdc.merge_stmt import _MergeLock
-
-        monkeypatch.setattr(_MergeLock, "STALE_S", 0.5)
-        path = str(tmp_path / "_merge.lock")
-        with _MergeLock(path):
-            os.utime(path, (0, 0))
-            time.sleep(0.3)
-            assert time.time() - os.path.getmtime(path) < 0.5
-        assert not os.path.exists(path)
-
-
 @pytest.mark.usefixtures("ray_session")
 class TestEmptySourceDistributed:
     """r5: big-target (forced-distributed) MERGE with an EMPTY source —
@@ -999,9 +913,96 @@ class TestEmptySourceDistributed:
 @pytest.mark.usefixtures("ray_session")
 class TestLakeMergeOcc:
     """r5 review finding: a concurrent commit between the snapshot read
-    and replay must not silently drop the MERGE — the lineage check
-    detects the lost race and the merge recomputes against the NEW
-    snapshot."""
+    and replay must not silently drop the MERGE — the commit-point
+    watermark check raises CommitConflict and the merge recomputes
+    against the NEW snapshot."""
+
+    INCREMENT = """
+        MERGE INTO '{lake}' AS tg USING (SELECT * FROM (VALUES
+            ('{key}', 1)) s(k, nv)) AS sr ON tg.k = sr.k
+        WHEN MATCHED THEN UPDATE SET v = tg.v + sr.nv
+    """
+
+    def _lake(self, tmp_path):
+        eng = _engine(tmp_path)
+        lake = str(tmp_path / "lake")
+        eng.sql(f"UPSERT INTO '{lake}' WITH LAKE SELECT * FROM (VALUES "
+                f"(1, 'a', 0), (2, 'b', 0)) t(lsn, k, v) KEYED ON k")
+        return eng, lake
+
+    def _values(self, eng, lake):
+        back = eng.sql(f"SELECT k, v FROM '{lake}' WITH LAKE").to_pandas()
+        return dict(zip(back.k, back.v))
+
+    def test_concurrent_increments_lose_no_update(self, tmp_path):
+        """Two threads each run 3 one-row increment MERGEs on their own
+        key. Every MERGE starts from some snapshot at watermark W and
+        stamps txn W..W+1, so a MERGE that loses the race names the
+        winner's txn; it must recompute, not count the winner's commit as
+        its own."""
+        import threading
+
+        from qwery_ray.cdc.engine import CDCLakeEngine
+
+        _, lake = self._lake(tmp_path)
+        updated = {"a": [], "b": []}
+        errs = []
+
+        def run(key):
+            try:
+                eng = _engine(tmp_path)
+                for _ in range(3):
+                    res = eng.sql(self.INCREMENT.format(lake=lake, key=key))
+                    updated[key].append(int(res.column("ROWS_UPDATED")[0]
+                                            .as_py()))
+            except Exception as e:  # surfaced below
+                errs.append(e)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in "ab"]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=600)
+        assert not any(t.is_alive() for t in threads)
+        assert not errs, errs
+        assert updated == {"a": [1, 1, 1], "b": [1, 1, 1]}
+        assert self._values(_engine(tmp_path), lake) == {"a": 3, "b": 3}
+        m = CDCLakeEngine.open(lake).load_manifest()
+        assert len(m["committed_txns"]) == len(set(m["committed_txns"])) \
+            == 7
+        assert m["watermark_lsn"] == 2 + 6
+        assert not os.listdir(os.path.join(lake, "_staging"))
+
+    def test_same_txn_name_interleave_recomputes(self, tmp_path,
+                                                 monkeypatch):
+        """Deterministic form of the race above: while the outer MERGE
+        merges, a second MERGE of the same source size commits first and
+        takes the txn name the outer one stamped. The outer MERGE must
+        hit the conflict at its commit and recompute on the new value."""
+        import qwery_ray.cdc.engine as ce
+
+        eng, lake = self._lake(tmp_path)
+        real_run_merge = ce.CDCLakeEngine._run_merge
+        seen = []
+
+        def racing_run_merge(self_eng, manifest, txn, *args):
+            if not seen:
+                seen.append(txn)
+                res = eng.sql(self.INCREMENT.format(lake=lake, key="a"))
+                assert int(res.column("ROWS_UPDATED")[0].as_py()) == 1
+                assert txn in ce.CDCLakeEngine.open(lake) \
+                    .load_manifest()["committed_txns"]
+            return real_run_merge(self_eng, manifest, txn, *args)
+
+        monkeypatch.setattr(ce.CDCLakeEngine, "_run_merge", racing_run_merge)
+        res = eng.sql(self.INCREMENT.format(lake=lake, key="a"))
+        assert seen == ["txn-000000000002-000000000003"]
+        assert int(res.column("ROWS_UPDATED")[0].as_py()) == 1
+        assert self._values(eng, lake) == {"a": 2, "b": 0}
+        m = ce.CDCLakeEngine.open(lake).load_manifest()
+        assert m["committed_txns"][-2:] == [
+            "txn-000000000002-000000000003", "txn-000000000003-000000000004"]
+        assert not os.listdir(os.path.join(lake, "_staging"))
 
     def test_interleaved_commit_retries(self, tmp_path, monkeypatch):
         import qwery_ray.cdc.engine as ce
