@@ -76,10 +76,10 @@ def run_headline(events_dir: str, n_events: int) -> float:
     def _warm_worker(b):
         import pyarrow as _pa
 
-        from qwery_ray.cdc.engine import key_hash_partition
+        from qwery_ray.cdc.engine import key_hash_partition_cols
 
-        key_hash_partition(_pa.chunked_array([_pa.array(["w"])]),
-                           _pa.chunked_array([_pa.array(["x"])]), 4)
+        key_hash_partition_cols([_pa.chunked_array([_pa.array(["w"])]),
+                                 _pa.chunked_array([_pa.array(["x"])])], 4)
         return b
 
     rd.range(NUM_CPUS * 16, override_num_blocks=NUM_CPUS * 8) \
@@ -363,11 +363,12 @@ def _hardware_ceiling(lo: int, hi: int) -> float:
 def run_skew() -> dict:
     """North-rule hot-key evidence: replay the SAME-size stream twice —
     uniform keys vs 50% of ALL events on one (repo, path) — and report the
-    throughput penalty.  The per-batch LWW combiner (PartialLww) collapses
-    every key to ≤1 row per map batch before the shuffle, so the hot key
-    ships O(batches) rows regardless of its event share; the penalty should
-    be ~1.0 with NO salting (tests/test_cdc_replay.py::TestHotKeySkew pins
-    final-state correctness vs the naive oracle)."""
+    throughput penalty.  The per-batch LWW combiner of the map step
+    (MultiTxnShuffleWrite) collapses every key to ≤1 row per map batch
+    before the shuffle, so the hot key ships O(batches) rows regardless of
+    its event share; the penalty should be ~1.0 with NO salting
+    (tests/test_cdc_replay.py::TestHotKeySkew pins final-state correctness
+    vs the naive oracle)."""
     import ray
 
     if not ray.is_initialized():

@@ -22,9 +22,10 @@ _os.environ.setdefault("POLARS_MAX_THREADS", "1")
 def _stub_fsspec_http() -> None:
     """Ray's path resolution probes ``fsspec.implementations.http`` on every
     read; without aiohttp that import fails, and with CONCURRENT driver
-    threads (multi-writer OCC, pipelined map threads) the repeatedly failing
-    import races — a half-initialized module in sys.modules turns the
-    ModuleNotFoundError Ray catches into a bare ImportError it does not.
+    threads (multi-writer OCC, the replay's prefetch map thread) the
+    repeatedly failing import races — a half-initialized module in
+    sys.modules turns the ModuleNotFoundError Ray catches into a bare
+    ImportError it does not.
     Install a stub module with a sentinel HTTPFileSystem class so the probe
     succeeds deterministically (nothing is ever an instance of it)."""
     import sys as _sys

@@ -9,18 +9,25 @@ whose per-partition offset order (reference Record.offset,
 core/devices/Record.scala:3; resume ≙ RandomAccessDevice.seek) becomes per-key
 LSN order.
 
-Pipeline per LSN chunk (one transaction):
+Pipeline of a replay: each LSN chunk is one transaction, and the chunks are
+mapped in WAVES, one map pass per wave:
 
     read_parquet(events, filter=lo<lsn<=hi)            # row-group pushdown
-      → map_batches(CombineShuffleWrite)               # per-batch LWW combine
-          writes each partition's slice to _staging/{txn}/shuffle/p{pid}/
-          (map-side hash shuffle: fan-out file writes instead of a sort-based
-          all-to-all of the full content payload)
-      → one merge task per touched partition (MergePartitionFS):
-          bounded incremental LWW reduce over the partition's shuffle slices
-          → copy-on-write against the current lake file → staged write
+      → map_batches(MultiTxnShuffleWrite)              # split by txn span,
+          per-batch LWW combine, ONE shuffle file per task and txn with one
+          row group per partition, in _staging/{txn}/w-{writer}/shuffle/;
+          the driver folds the tasks' {pid → row group} maps into one
+          index.json per txn (map-side hash shuffle: fan-out file writes
+          instead of a sort-based all-to-all of the full content payload)
+      → per txn, in LSN order: grouped merge tasks (MergePartitionFS):
+          incremental LWW reduce over the partition's row groups
+          → copy-on-write or merge-on-read delta against the current lake
+          files → staged write
       → driver, under the commit lock: validate, move staged files in,
         atomic manifest swap                           # the ONLY visibility point
+
+The first wave maps in the calling thread; a one-worker prefetch thread maps
+wave k+1 while wave k merges and commits.
 
 The manifest-as-atomic-pointer + staged-files commit protocol follows the
 public Delta Lake design (Armbrust et al., "Delta Lake: High-Performance ACID
@@ -71,13 +78,12 @@ import ray.data as rd
 
 KEY_COLS = ["repo", "path"]
 MANIFEST = "manifest.json"
-
-
-def key_hash_partition(repo: pa.ChunkedArray, path: pa.ChunkedArray,
-                       num_partitions: int) -> np.ndarray:
-    """Deterministic key → partition id, stable across runs/processes
-    (no PYTHONHASHSEED dependence)."""
-    return key_hash_partition_cols([repo, path], num_partitions)
+# staged shuffle output a replay keeps in flight: chunks are grouped into
+# map waves of at most this many estimated event bytes (at least one chunk)
+MAP_LOOKAHEAD_BYTES = 4 << 30
+# shuffle file codec: lz4 was no worse than zstd at 32 CPUs and much better
+# at 8 (BASELINE.md, shuffle codec A/B)
+SHUFFLE_CODEC = "lz4"
 
 
 def joined_key(cols) -> pa.Array:
@@ -102,79 +108,40 @@ def key_hash_partition_cols(cols, num_partitions: int) -> np.ndarray:
     return (hashed % np.uint64(num_partitions)).astype(np.int64)
 
 
-class PartialLww:
-    """Per-batch combiner: keep only each key's max-LSN event in the batch and
-    tag it with its lake partition. Runs before the shuffle, so shuffle volume
-    is bounded by distinct-keys-per-batch, not event count."""
-
-    def __init__(self, num_partitions: int):
-        self.num_partitions = num_partitions
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return batch.append_column("pkey", pa.array([], type=pa.int64()))
-        pkey = key_hash_partition(batch.column("repo"), batch.column("path"),
-                                  self.num_partitions)
-        batch = batch.append_column("pkey", pa.array(pkey))
-        idx = lww_winner_indices(batch)
-        # take() keeps content zero-copy; only key+lsn columns were converted
-        return batch.take(pa.array(idx))
-
-
-class CombineShuffleWrite:
-    """Map-side shuffle: per-batch LWW combine, then write each partition's
-    slice straight to ``_staging/{txn}/shuffle/p{pid}/`` as parquet.
-
-    This replaces a sort-based all-to-all of the full content payload with
-    embarrassingly-parallel fan-out writes (the Spark/MR map-side shuffle
-    shape) — on a multi-node cluster these files live on the shared store the
-    lake already uses. File names are random; correctness under task retry
-    comes from LWW idempotence: duplicate (key, lsn) rows collapse in the
-    merge, and the driver clears the txn's shuffle dir before any attempt."""
-
-    def __init__(self, num_partitions: int, shuffle_dir: str,
-                 key_cols=tuple(KEY_COLS)):
-        self.num_partitions = num_partitions
-        self.shuffle_dir = shuffle_dir
-        self.key_cols = list(key_cols)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return _shuffle_stats(0, 0)
-        rows, files, fname, index = _combine_and_write(
-            batch, self.num_partitions, self.shuffle_dir, self.key_cols)
-        return _shuffle_stats(rows, files, self.shuffle_dir, fname, index)
-
-
 class MultiTxnShuffleWrite:
-    """Pipelined variant: ONE map pass covers several pending transactions.
-    Rows are split by LSN range FIRST (so each txn's combiner sees only its
-    own events — checkpoint-k state stays exactly 'replay of events ≤ hi_k'),
-    then each span runs the normal combine-and-write into its own txn
-    shuffle dir."""
+    """The replay's map step: ONE map pass covers one or more pending
+    transactions. Rows are split by LSN span FIRST (so each txn's combiner
+    sees only its own events — checkpoint-k state stays exactly 'replay of
+    events ≤ hi_k'), then each span's rows are combined and written into
+    its own txn shuffle dir. File names are random; correctness under task
+    retry comes from LWW idempotence: duplicate (key, lsn) rows collapse in
+    the merge, and the driver clears every txn's shuffle dir before a map
+    pass."""
 
     def __init__(self, num_partitions: int, spans, key_cols=tuple(KEY_COLS)):
-        # spans: list of (lo, hi, shuffle_dir), ordered, non-overlapping
+        # spans: list of (lo, hi, shuffle_dir), ordered, contiguous
         self.num_partitions = num_partitions
         self.spans = spans
+        self.his = np.array([hi for _, hi, _ in spans])
         self.key_cols = list(key_cols)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if len(batch) == 0:
             return _shuffle_stats(0, 0)
         lsn = batch.column("lsn").to_numpy(zero_copy_only=False)
-        his = np.array([hi for _, hi, _ in self.spans])
-        span_idx = np.searchsorted(his, lsn)  # lsn <= hi → this span
+        span_idx = np.searchsorted(self.his, lsn)  # lsn <= hi → this span
+        hit = np.unique(span_idx)
         parts = []
-        for i, (_lo, _hi, sdir) in enumerate(self.spans):
-            mask = span_idx == i
-            if not mask.any():
-                continue
-            sub = batch.take(pa.array(np.flatnonzero(mask)))
+        for i in hit:
+            # a batch inside one span (every batch of a one-txn replay) is
+            # combined as is, without a take copy
+            sub = batch if len(hit) == 1 else \
+                batch.take(pa.array(np.flatnonzero(span_idx == i)))
+            sdir = self.spans[i][2]
             r, f, fname, index = _combine_and_write(
                 sub, self.num_partitions, sdir, self.key_cols)
             parts.append(_shuffle_stats(r, f, sdir, fname, index))
-        return pa.concat_tables(parts) if parts else _shuffle_stats(0, 0)
+        return pa.concat_tables(parts)
 
 
 def _combine_and_write(batch: pa.Table, num_partitions: int,
@@ -183,8 +150,8 @@ def _combine_and_write(batch: pa.Table, num_partitions: int,
     """Per-batch LWW combine + one-file-per-task partitioned write.
 
     ONE file per call, ONE row group per partition present: the reducer
-    prunes to its partition via the sidecar index, and the filesystem sees
-    O(tasks) files, not O(tasks × partitions)."""
+    prunes to its partition via the txn's index.json, and the filesystem
+    sees O(tasks) files, not O(tasks × partitions)."""
     import uuid
 
     pkey = key_hash_partition_cols(
@@ -204,11 +171,8 @@ def _combine_and_write(batch: pa.Table, num_partitions: int,
     ends = np.concatenate([bounds, [len(pk_sorted)]])
     fname = os.path.join(shuffle_dir, f"task-{uuid.uuid4().hex[:12]}.parquet")
     tmp = fname + ".tmp"
-    # codec is a bandwidth/CPU dial: zstd halves the bytes through the
-    # shared store at ~10% more encode CPU — the right trade when the
-    # store IS memory (tmpfs) and the box is bandwidth-saturated
-    codec = os.environ.get("QWERY_SHUFFLE_CODEC", "lz4")
-    writer = pq.ParquetWriter(tmp, sorted_batch.schema, compression=codec)
+    writer = pq.ParquetWriter(tmp, sorted_batch.schema,
+                              compression=SHUFFLE_CODEC)
     index = {}
     for rg, (s, e) in enumerate(zip(starts, ends)):
         writer.write_table(sorted_batch.slice(s, e - s))
@@ -281,10 +245,10 @@ class MergePartitionFS:
     merge task opens every shuffle file at most ONCE for its whole pid
     group (one footer parse serves all its partitions — the old
     one-task-per-pid × per-file .idx scan was O(files × partitions)
-    metadata ops). The LWW reduce stays BOUNDED: files stream in
-    ``merge_fanin`` chunks, per-pid state is O(distinct keys in the
-    partition), never O(events). Then copy-on-write against the current
-    lake file → staged write. Emits one metrics row per partition."""
+    metadata ops). The LWW reduce stays BOUNDED (:meth:`_reduce_shuffle`):
+    per-pid state is O(distinct keys in the partition), never O(events).
+    Then copy-on-write or a merge-on-read delta against the current lake
+    files → staged write. Emits one metrics row per partition."""
 
     # merge-on-read policy (engine.merge_mode="auto"): a txn whose reduced
     # rows for a partition are under DELTA_MAX_RATIO of the partition's
@@ -301,14 +265,13 @@ class MergePartitionFS:
     COMPACT_ROWS_RATIO = 0.5
 
     def __init__(self, lake_dir: str, txn: str, partition_infos: dict,
-                 shuffle_dir: str, merge_fanin: int = 16,
-                 key_cols=tuple(KEY_COLS), merge_mode: str = "auto"):
+                 shuffle_dir: str, key_cols=tuple(KEY_COLS),
+                 merge_mode: str = "auto"):
         self.lake_dir = lake_dir
         self.txn = txn
         # pid → {"file": rel, "rows": n, "deltas": [{"file","rows"}...]}
         self.partition_infos = partition_infos
         self.shuffle_dir = shuffle_dir
-        self.merge_fanin = max(2, merge_fanin)
         self.key_cols = list(key_cols)
         self.merge_mode = merge_mode
         self._index = None
@@ -481,24 +444,23 @@ def _merge_group_task():
 class _InflightReporter:
     """Periodic IN-FLIGHT progress snapshots while a transaction runs
     (reference StatisticsGenerator.scala:49-80: %complete/ETA rows on a
-    10-second cadence, not just at commit). A daemon thread samples the
-    txn's staging directories — shuffle bytes written during the map phase,
-    staged partition files during the merge phase — and appends
+    10-second cadence, not just at commit). A daemon thread samples one
+    staging directory — shuffle bytes against ``total`` expected bytes in
+    the ``"map"`` phase, staged partition files against ``total`` touched
+    partitions in the ``"merge"`` phase — and appends
     ``{"type": "inflight", ...}`` records to ``_stats.jsonl``. The manifest
     is untouched, so commit determinism is unaffected."""
 
-    def __init__(self, engine: "CDCLakeEngine", txn: str, shuffle_dir: str,
-                 staged_dir: str, expected_bytes: int, n_touched: int):
+    def __init__(self, engine: "CDCLakeEngine", txn: str, phase: str,
+                 watch_dir: str, total: int):
         import threading
         import time as _time
 
         self.engine = engine
         self.txn = txn
-        self.shuffle_dir = shuffle_dir
-        self.staged_dir = staged_dir
-        self.expected_bytes = max(1, expected_bytes)
-        self.n_touched = n_touched  # 0 = unknown until the map side lands
-        self.phase = "map"
+        self.phase = phase
+        self.watch_dir = watch_dir
+        self.total = total
         self._t0 = _time.perf_counter()
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
@@ -530,18 +492,16 @@ class _InflightReporter:
             elapsed = _time.perf_counter() - self._t0
             rec = {"type": "inflight", "txn": self.txn, "phase": self.phase,
                    "elapsed_sec": round(elapsed, 3)}
+            files, nbytes = self._dir_stats(self.watch_dir)
             if self.phase == "map":
-                files, nbytes = self._dir_stats(self.shuffle_dir)
                 # shuffle output ≤ combined+compressed input bytes, so this
                 # pct is a floor — good enough for an ETA order of magnitude
-                pct = min(0.99, nbytes / self.expected_bytes)
+                pct = min(0.99, nbytes / max(1, self.total))
                 rec.update(shuffle_files=files, shuffle_bytes=nbytes)
             else:
-                files, _ = self._dir_stats(self.staged_dir)
-                pct = min(0.99, files / self.n_touched) if self.n_touched \
-                    else 0.0
+                pct = min(0.99, files / self.total) if self.total else 0.0
                 rec.update(partitions_staged=files,
-                           partitions_total=self.n_touched)
+                           partitions_total=self.total)
             rec["pct_complete"] = round(pct, 4)
             rec["eta_sec"] = round(elapsed * (1 - pct) / pct, 1) if pct > 0 \
                 else None
@@ -567,7 +527,7 @@ class CDCLakeEngine:
     """Partitioned parquet lake + manifest; replay(), resume, verify."""
 
     def __init__(self, lake_dir: str, *, num_partitions: int = 16,
-                 merge_fanin: int = 16, key_cols=tuple(KEY_COLS),
+                 key_cols=tuple(KEY_COLS),
                  stats_interval_sec: float = 10.0,
                  merge_mode: str = "auto"):
         import uuid
@@ -577,7 +537,6 @@ class CDCLakeEngine:
                              f"got {merge_mode!r}")
         self.lake_dir = lake_dir
         self.num_partitions = num_partitions
-        self.merge_fanin = merge_fanin
         self.stats_interval_sec = stats_interval_sec
         self.merge_mode = merge_mode
         self.key_cols = list(key_cols)
@@ -665,16 +624,21 @@ class CDCLakeEngine:
 
     # -------------------------------------------------------------- replay
     def replay(self, events_path: str, *, chunk_lsns: Optional[int] = None,
-               max_lsn: Optional[int] = None, pipelined: bool = True,
+               max_lsn: Optional[int] = None,
                expect_watermark: Optional[int] = None) -> dict:
         """Replays all events with lsn > watermark, committing one txn per
         LSN chunk (chunk = checkpoint granularity). Returns the final
         manifest. Safe to re-run / resume at any time.
 
-        ``pipelined=True`` runs ONE map/shuffle pass covering all pending
-        chunks (rows split by LSN span before combining, so each checkpoint's
-        state is still exactly 'events ≤ hi_k'), then merges+commits the
-        transactions in order — the map side's fixed cost is paid once.
+        The chunks are grouped into WAVES of at most
+        ``MAP_LOOKAHEAD_BYTES`` estimated event bytes. One map/shuffle pass
+        (:meth:`_map_all`) covers a whole wave — rows are split by LSN span
+        before combining, so each checkpoint's state is still exactly
+        'events ≤ hi_k' — and then each txn of the wave merges and commits
+        in LSN order. The first wave maps in the calling thread; a
+        one-worker prefetch thread maps wave k+1 while wave k merges and
+        commits. If the call raises, it first lets an in-flight prefetch
+        finish, then removes the staging of every txn it did not commit.
 
         ``expect_watermark``: optimistic-concurrency guard for callers that
         stamp event LSNs against a snapshot (MERGE INTO lake). Each txn
@@ -683,6 +647,8 @@ class CDCLakeEngine:
         :class:`CommitConflict` and applies nothing more. The check runs
         under the commit lock and before every committed-txn short-circuit,
         so another writer's txn over the same span never reads as ours."""
+        from concurrent.futures import ThreadPoolExecutor
+
         lo_bound, hi_bound = self._events_lsn_range(events_path)
         if max_lsn is not None:
             hi_bound = min(hi_bound, max_lsn)
@@ -692,125 +658,82 @@ class CDCLakeEngine:
         start = manifest["watermark_lsn"]
         if chunk_lsns is None:
             chunk_lsns = max(1, hi_bound - start)
-        chunks = []
-        lo = start
-        while lo < hi_bound:
-            hi = min(lo + chunk_lsns, hi_bound)
-            chunks.append((lo, hi))
-            lo = hi
-        pending = [(l, h) for l, h in chunks
-                   if f"txn-{l:012d}-{h:012d}" not in manifest["committed_txns"]]
-        if pipelined and len(pending) > 1:
-            # software pipeline: txn k+1's map/shuffle pass (bandwidth-bound
-            # parquet scan) runs CONCURRENTLY with txn k's merge+commit
-            # (CPU+IO mixed) in a prefetch thread — wall clock per step is
-            # max(map, merge), not their sum. Commit order is untouched:
-            # apply_chunk(k) only starts after map(k) joined.
-            import threading
-
-            class _MapJob:
-                def __init__(self, fn, span):
-                    self.err = None
-
-                    def run():
-                        try:
-                            fn(span)
-                        except BaseException as e:  # re-raised on join
-                            self.err = e
-
-                    self.t = threading.Thread(target=run, daemon=True)
-                    self.t.start()
-
-                def join(self):
-                    self.t.join()
-                    if self.err is not None:
-                        raise self.err
-
-            def run_map(wave):
-                self._map_all(events_path, wave)
-
-            # WAVES of spans per map pass: each Dataset execution carries a
-            # fixed streaming-executor startup (~0.3-0.5 s), so a chunked
-            # replay that mapped one span per pass paid it once per txn —
-            # the dominant cost when chunks are small (checkpoint-dense).
-            # MultiTxnShuffleWrite splits rows by LSN span inside the pass,
-            # so checkpoint-k state is untouched. The lookahead is
-            # byte-bounded: staged shuffle output in flight stays under
-            # ~4 GiB (or 1 span, whichever is larger) — at 10^10-event
-            # scale with production chunk sizes this degrades gracefully
-            # to one span per wave.
-            from .tail import resolve_tail as _rt
-
-            est_rows, est_bytes = _rt(events_path).size_estimate()
-            row_size = (est_bytes // est_rows) if est_rows else 256
-            budget = int(os.environ.get("QWERY_MAP_LOOKAHEAD_BYTES",
-                                        4 << 30))
-            span_bytes = max(1, chunk_lsns * row_size)
-            # the bytes budget alone picks the regime: big spans (≥budget)
-            # → one span per wave, preserving the map(k+1)∥merge(k)
-            # overlap; small spans → many per wave, amortizing the
-            # per-execution startup (empirically the dominant cost there —
-            # 64×10k-event txns: 12.8 s one-wave vs 17.9 s capped-8)
-            lookahead = max(1, min(len(pending), budget // span_bytes))
-            waves = [pending[i:i + lookahead]
-                     for i in range(0, len(pending), lookahead)]
-            job = _MapJob(run_map, waves[0])
-            for w, wave in enumerate(waves):
-                job.join()
-                if w + 1 < len(waves):
-                    job = _MapJob(run_map, waves[w + 1])
-                for (l, h) in wave:
-                    manifest = self.apply_chunk(
-                        events_path, l, h, manifest, premapped=True,
-                        expect_watermark=l if guarded else None)
-        else:
-            for l, h in chunks:
-                manifest = self.apply_chunk(
-                    events_path, l, h, manifest,
-                    expect_watermark=l if guarded else None)
-        return manifest
-
-    def _map_all(self, events_path: str, chunks) -> None:
-        """Phase A of pipelined replay: one combine+shuffle pass for every
-        pending transaction (clears each txn's shuffle dir first — a crashed
-        earlier attempt cannot leak rows)."""
-        spans = []
-        for lo, hi in chunks:
-            txn = f"txn-{lo:012d}-{hi:012d}"
-            sdir = self._txn_shuffle_dir(txn)
-            shutil.rmtree(sdir, ignore_errors=True)
-            os.makedirs(sdir, exist_ok=True)
-            spans.append((lo, hi, sdir))
+        # every chunk starts at or past the watermark, and a committed txn
+        # ends at or before it: no chunk here is committed yet
+        chunks = [(lo, min(lo + chunk_lsns, hi_bound))
+                  for lo in range(start, hi_bound, chunk_lsns)]
+        if not chunks:
+            return manifest
+        # each map pass carries a fixed streaming-executor startup (~0.3-0.5
+        # s), so small chunks share a pass; big chunks (≥ the byte budget)
+        # get one pass each, and map(k+1) ∥ merge(k) still overlaps them
         from .tail import resolve_tail
 
-        lo_all, hi_all = chunks[0][0], chunks[-1][1]
-        tail = resolve_tail(events_path)
-        events = tail.dataset(lo_all, hi_all)
+        row_size = _row_size(resolve_tail(events_path)) or 256
+        per_wave = max(1, MAP_LOOKAHEAD_BYTES // (chunk_lsns * row_size))
+        waves = [chunks[i:i + per_wave]
+                 for i in range(0, len(chunks), per_wave)]
+        try:
+            # leaving the with-block joins a prefetch still mapping, so the
+            # cleanup below never races its shuffle writes
+            with ThreadPoolExecutor(max_workers=1) as prefetch:
+                wall = self._map_all(events_path, waves[0])
+                for w, wave in enumerate(waves):
+                    if w:
+                        wall = nxt.result()
+                    if w + 1 < len(waves):
+                        nxt = prefetch.submit(self._map_all, events_path,
+                                              waves[w + 1])
+                    lsns = wave[-1][1] - wave[0][0]
+                    for lo, hi in wave:
+                        manifest = self._merge_and_commit(
+                            lo, hi, wall * (hi - lo) / lsns,
+                            lo if guarded else None)
+        except BaseException:
+            for lo, hi in chunks:
+                self._drop_staging(_txn_name(lo, hi))
+            raise
+        return manifest
+
+    def _map_all(self, events_path: str, spans) -> float:
+        """The replay's one map step: one combine+shuffle pass for the
+        txns of ``spans`` [(lo, hi), ...] (ordered, contiguous). Clears
+        each txn's shuffle dir first, so a crashed earlier attempt cannot
+        leak rows. Returns the pass's wall seconds."""
+        import time as _time
+
         import ray as _ray
 
+        from .tail import resolve_tail
+
+        t0 = _time.perf_counter()
+        dirs = []
+        for lo, hi in spans:
+            sdir = self._txn_shuffle_dir(_txn_name(lo, hi))
+            shutil.rmtree(sdir, ignore_errors=True)
+            os.makedirs(sdir, exist_ok=True)
+            dirs.append((lo, hi, sdir))
+        lo_all, hi_all = spans[0][0], spans[-1][1]
+        tail = resolve_tail(events_path)
+        row_size = _row_size(tail)
         ncpu = int(_ray.cluster_resources().get("CPU", 8)) \
             if _ray.is_initialized() else 8
-        est_rows, est_bytes = tail.size_estimate()
-        row_size = (est_bytes // est_rows) if est_rows else 256
-        batch_size = self._auto_batch_size(events_path)
-        approx_rows = max(1, hi_all - lo_all)
-        batch_size = max(2048, min(batch_size,
-                                   approx_rows // (2 * ncpu) or batch_size))
-        # pipelined replay runs this map pass concurrently with the previous
-        # txn's merge — give it its own in-flight reporter (the merge-side
-        # reporter lives in apply_chunk)
-        txn0 = f"txn-{lo_all:012d}-{hi_all:012d}"
+        approx_rows = max(1, hi_all - lo_all)  # LSNs are dense in the tail
         reporter = _InflightReporter(
-            self, txn0, spans[0][2], "", n_touched=0,
-            expected_bytes=row_size * approx_rows).start()
+            self, _txn_name(lo_all, hi_all), "map", dirs[0][2],
+            (row_size or 256) * approx_rows).start()
         try:
-            stats = events.map_batches(
-                MultiTxnShuffleWrite(self.num_partitions, spans,
+            stats = tail.dataset(lo_all, hi_all).map_batches(
+                MultiTxnShuffleWrite(self.num_partitions, dirs,
                                      self.key_cols),
-                batch_format="pyarrow", batch_size=batch_size)
+                batch_format="pyarrow",
+                batch_size=_batch_size(row_size, approx_rows, ncpu))
+            # drives the map side to completion (shuffle barrier) and folds
+            # the returned per-file indexes into each txn's index.json
             self._collect_shuffle_index(stats)
         finally:
             reporter.stop()
+        return _time.perf_counter() - t0
 
     def follow(self, events_path: str, *, poll_interval: float = 1.0,
                idle_rounds: Optional[int] = 3,
@@ -844,141 +767,75 @@ class CDCLakeEngine:
 
         return resolve_tail(events_path).lsn_range()
 
-    def _auto_batch_size(self, events_path,
-                         target_bytes: int = 96 << 20) -> int:
-        """Combiner batch size from the tail's (rows, bytes) estimate."""
-        from .tail import resolve_tail
-
-        rows, nbytes = resolve_tail(events_path).size_estimate()
-        if rows == 0 or nbytes == 0:
-            return 32768
-        row_size = max(1, nbytes // rows)
-        return int(min(131072, max(1024, target_bytes // row_size)))
-
     def apply_chunk(self, events_path: str, lo: int, hi: int,
                     manifest: Optional[dict] = None, *,
-                    premapped: bool = False,
                     expect_watermark: Optional[int] = None) -> dict:
-        """One transaction: apply events with lo < lsn <= hi. Idempotent.
-        ``premapped=True`` (pipelined replay) skips the map/shuffle phase —
-        _map_all already populated this txn's shuffle dir. With
+        """One transaction: apply events with lo < lsn <= hi. Idempotent: a
+        committed txn is a no-op, checked before any map. Otherwise the span
+        is mapped by :meth:`_map_all` and merged and committed as in
+        :meth:`replay`; if that raises, the txn's staging is removed. With
         ``expect_watermark`` it commits only onto that watermark, else
         raises :class:`CommitConflict` (see :meth:`replay`)."""
-        import time as _time
-
-        trace = os.environ.get("QWERY_CDC_TIMING") == "1"
-        t_start = _time.perf_counter()
-
         manifest = manifest or self.load_manifest()
-        txn = f"txn-{lo:012d}-{hi:012d}"
+        txn = _txn_name(lo, hi)
         _check_watermark(manifest, expect_watermark)
         if txn in manifest["committed_txns"]:
             return manifest  # exactly-once: committed ranges are no-ops
-
-        shuffle_dir = self._txn_shuffle_dir(txn)
-        from .tail import resolve_tail as _resolve_tail
-
-        est_rows, est_bytes = _resolve_tail(events_path).size_estimate()
-        row_size = (est_bytes // est_rows) if est_rows else 256
-        reporter = _InflightReporter(
-            self, txn, shuffle_dir, self._writer_staging(txn),
-            expected_bytes=row_size * max(1, hi - lo), n_touched=0).start()
         try:
-            return self._apply_chunk_inner(events_path, lo, hi, manifest,
-                                           txn, shuffle_dir, reporter,
-                                           premapped, trace, t_start,
-                                           expect_watermark)
-        except CommitConflict:
+            map_sec = self._map_all(events_path, [(lo, hi)])
+            return self._merge_and_commit(lo, hi, map_sec, expect_watermark)
+        except BaseException:
             self._drop_staging(txn)
             raise
-        finally:
-            reporter.stop()
 
-    def _apply_chunk_inner(self, events_path, lo, hi, manifest, txn,
-                           shuffle_dir, reporter, premapped, trace, t_start,
-                           expect_watermark):
+    def _merge_and_commit(self, lo: int, hi: int, map_sec: float,
+                          expect_watermark: Optional[int]) -> dict:
+        """Reduce + commit one txn whose shuffle dir is mapped, with
+        optimistic concurrency. The merge runs against the partition files
+        of a manifest VERSION; the commit validates under the lake's commit
+        lock that the version is unchanged (Delta-style OCC). A concurrent
+        writer advancing the manifest forces a RE-MERGE against the fresh
+        files (the shuffle output is version-independent, so only the COW
+        phase repeats). The watermark check precedes each committed-txn
+        short-circuit: a txn of the same name committed by ANOTHER writer's
+        events is a conflict, not ours. ``map_sec`` is the txn's share of
+        its map pass, for the stats record."""
         import time as _time
 
-        if not premapped:
-            from .tail import resolve_tail
-
-            events = resolve_tail(events_path).dataset(lo, hi)
-            # bytes-aware combiner batch size (~96 MiB of rows) so the
-            # per-batch dedup actually reduces and shuffle row groups stay
-            # read-efficient, capped so the map side has ≥2 tasks per core
-            import ray as _ray
-
-            ncpu = int(_ray.cluster_resources().get("CPU", 8)) \
-                if _ray.is_initialized() else 8
-            batch_size = self._auto_batch_size(events_path)
-            approx_rows = max(1, hi - lo)  # LSNs are dense in the tail
-            batch_size = max(2048, min(batch_size,
-                                       approx_rows // (2 * ncpu) or batch_size))
-
-            # ---- map-side shuffle: combine + partitioned staging writes ----
-            # (a fresh attempt of this txn clears any partial shuffle output,
-            # so non-deterministic shuffle file names cannot double-apply)
-            shutil.rmtree(shuffle_dir, ignore_errors=True)
-            os.makedirs(shuffle_dir, exist_ok=True)
-            stats = events.map_batches(
-                CombineShuffleWrite(self.num_partitions, shuffle_dir,
-                                    self.key_cols),
-                batch_format="pyarrow", batch_size=batch_size)
-            # drives the map side to completion (shuffle barrier) and folds
-            # the returned per-file indexes into this txn's index.json
-            self._collect_shuffle_index(stats)
-        else:
-            os.makedirs(shuffle_dir, exist_ok=True)
-        if trace:
-            print(f"[cdc] {txn} map_side={_time.perf_counter()-t_start:.2f}s "
-                  f"premapped={premapped}", flush=True)
-            t_map = _time.perf_counter()
-
-        # ---- reduce + commit with optimistic concurrency -------------------
-        # merge runs against the partition files of a manifest VERSION; the
-        # commit validates under the lake's commit lock that the version is
-        # unchanged (Delta-style OCC). A concurrent writer advancing the
-        # manifest forces a RE-MERGE against the fresh files (the shuffle
-        # output is version-independent, so only the COW phase repeats).
-        # The watermark check precedes each committed-txn short-circuit: a
-        # txn of the same name committed by ANOTHER writer's events is a
-        # conflict, not ours.
+        t_merge = _time.perf_counter()
+        txn = _txn_name(lo, hi)
+        shuffle_dir = self._txn_shuffle_dir(txn)
         touched = self._touched_partitions(shuffle_dir)
-        reporter.n_touched = len(touched)
-        reporter.phase = "merge"
-        for attempt in range(4):
-            base = self.load_manifest()
-            _check_watermark(base, expect_watermark)
-            if txn in base["committed_txns"]:
-                # a concurrent replayer beat us to this txn: exactly-once
-                self._drop_staging(txn)
-                return base
-            try:
-                metrics = self._run_merge(base, txn, shuffle_dir, touched)
-            except Exception:
-                if attempt == 3:
-                    raise
-                continue  # peer may have committed+GC'd our base mid-merge
-            if trace:
-                print(f"[cdc] {txn} merge={_time.perf_counter()-t_map:.2f}s "
-                      f"touched={len(touched)}", flush=True)
-                t_merge = _time.perf_counter()
-            with self._commit_lock():
-                current = self.load_manifest()
-                _check_watermark(current, expect_watermark)
-                if txn in current["committed_txns"]:
+        reporter = _InflightReporter(self, txn, "merge",
+                                     self._writer_staging(txn),
+                                     len(touched)).start()
+        try:
+            for attempt in range(4):
+                base = self.load_manifest()
+                _check_watermark(base, expect_watermark)
+                if txn in base["committed_txns"]:
+                    # a concurrent replayer beat us to this txn: exactly-once
                     self._drop_staging(txn)
-                    return current
-                if current["version"] == base["version"]:
-                    out = self._commit_txn(base, txn, lo, hi, metrics,
-                                           t_start)
-                    if trace:
-                        print(f"[cdc] {txn} "
-                              f"commit={_time.perf_counter()-t_merge:.2f}s "
-                              f"total={_time.perf_counter()-t_start:.2f}s",
-                              flush=True)
-                    return out
-            # lost the race on a different txn: re-merge on the new base
+                    return base
+                try:
+                    metrics = self._run_merge(base, txn, shuffle_dir,
+                                              touched)
+                except Exception:
+                    if attempt == 3:
+                        raise
+                    continue  # peer may have committed+GC'd our base
+                with self._commit_lock():
+                    current = self.load_manifest()
+                    _check_watermark(current, expect_watermark)
+                    if txn in current["committed_txns"]:
+                        self._drop_staging(txn)
+                        return current
+                    if current["version"] == base["version"]:
+                        return self._commit_txn(base, txn, lo, hi, metrics,
+                                                t_merge - map_sec, map_sec)
+                # lost the race on a different txn: re-merge on the new base
+        finally:
+            reporter.stop()
         raise RuntimeError(
             f"commit conflict on {txn} not resolved after 4 merge attempts")
 
@@ -1004,17 +861,17 @@ class CDCLakeEngine:
     def _run_merge(self, manifest: dict, txn: str, shuffle_dir: str,
                    touched: list):
         """Reduce side: grouped merge tasks COW against the partition files
-        of ``manifest``; returns the metrics frame."""
+        of ``manifest``; returns the metrics table."""
         partition_infos = {
             int(pid): info for pid, info in manifest["partitions"].items()
         }
         if not touched:
-            return _empty_metrics().to_pandas()
+            return _empty_metrics()
         # staged output goes to the writer-private namespace (OCC isolation)
         stage_label = os.path.join(txn, f"w-{self._writer_id}")
         merge = MergePartitionFS(self.lake_dir, stage_label, partition_infos,
-                                 shuffle_dir, self.merge_fanin,
-                                 self.key_cols, self.merge_mode)
+                                 shuffle_dir, self.key_cols,
+                                 self.merge_mode)
 
         import ray as _ray
 
@@ -1032,68 +889,72 @@ class CDCLakeEngine:
         n_tasks = min(len(touched), max(1, ncpu * 2))
         groups = [touched[i::n_tasks] for i in range(n_tasks)]
         refs = [_merge_group_task().remote(merge, g) for g in groups if g]
-        tables = [t for t in _ray.get(refs) if t.num_rows]
-        if not tables:
-            return _empty_metrics().to_pandas()
-        return pa.concat_tables(tables).to_pandas()
+        return pa.concat_tables([_empty_metrics()] + _ray.get(refs))
 
     def _commit_txn(self, manifest: dict, txn: str, lo: int, hi: int,
-                    metrics, t_start: float) -> dict:
+                    metrics: pa.Table, t_start: float,
+                    map_sec: float) -> dict:
         """Move staged files in and swap the manifest (caller holds the
-        commit lock and has validated the base version)."""
+        commit lock and has validated the base version). ``t_start`` is
+        when the txn's work began, its map share ``map_sec`` included."""
         import time as _time
 
         part_dir = os.path.join(self.lake_dir, "partitions")
         os.makedirs(part_dir, exist_ok=True)
-        for r in metrics.itertuples():
-            pid = int(r.partition_id)
-            kind = getattr(r, "kind", "base")
+        for r in metrics.to_pylist():
+            pid = r["partition_id"]
             old = manifest["partitions"].get(str(pid))
             lineage = (old["lineage"] if old else []) + [txn]
-            if kind == "delta":
+            if r["kind"] == "delta":
                 final_rel = os.path.join("partitions",
                                          f"delta-{pid:05d}-{txn}.parquet")
-                os.replace(os.path.join(self.lake_dir, str(r.staged_file)),
+                os.replace(os.path.join(self.lake_dir, r["staged_file"]),
                            os.path.join(self.lake_dir, final_rel))
                 size = os.path.getsize(os.path.join(self.lake_dir, final_rel))
                 manifest["partitions"][str(pid)] = {
                     "file": old["file"],
                     "deltas": (old.get("deltas") or []) + [
-                        {"file": final_rel, "rows": int(r.upserts
-                                                        + r.deletes),
-                         "bytes": int(size)}],
-                    "last_lsn": int(r.last_lsn),
-                    "rows": int(r.rows),
+                        {"file": final_rel,
+                         "rows": r["upserts"] + r["deletes"],
+                         "bytes": size}],
+                    "last_lsn": r["last_lsn"],
+                    "rows": r["rows"],
                     "lineage": lineage,
                 }
             else:
                 final_rel = os.path.join("partitions",
                                          f"part-{pid:05d}-{txn}.parquet")
-                os.replace(os.path.join(self.lake_dir, str(r.staged_file)),
+                os.replace(os.path.join(self.lake_dir, r["staged_file"]),
                            os.path.join(self.lake_dir, final_rel))
                 manifest["partitions"][str(pid)] = {
                     "file": final_rel,
-                    "last_lsn": int(r.last_lsn),
-                    "rows": int(r.rows),
+                    "last_lsn": r["last_lsn"],
+                    "rows": r["rows"],
                     "lineage": lineage,
                 }
         manifest["watermark_lsn"] = max(manifest["watermark_lsn"], hi)
         manifest["version"] += 1
         manifest["committed_txns"].append(txn)
         elapsed = _time.perf_counter() - t_start
-        n_bytes = int(metrics["bytes_written"].sum()) if len(metrics) else 0
+
+        def total(col: str) -> int:
+            return int(pc.sum(metrics.column(col)).as_py() or 0)
+
+        n_bytes = total("bytes_written")
         manifest["lineage"].append({
             "txn": txn, "lo": lo, "hi": hi,
-            "partitions_touched": int(len(metrics)),
-            "rows_upserted": int(metrics["upserts"].sum()) if len(metrics) else 0,
-            "rows_deleted": int(metrics["deletes"].sum()) if len(metrics) else 0,
+            "partitions_touched": metrics.num_rows,
+            "rows_upserted": total("upserts"),
+            "rows_deleted": total("deletes"),
             "bytes_written": n_bytes,
         })
         # progress statistics (reference StatisticsGenerator.scala:49-80
         # records/s + bytes/s snapshots): appended per txn to a side log —
-        # NOT the manifest, which stays byte-deterministic across reruns
+        # NOT the manifest, which stays byte-deterministic across reruns.
+        # elapsed_sec spans map share + merge + commit
         self._append_stats({
             "txn": txn, "lo": lo, "hi": hi,
+            "map_sec": round(map_sec, 3),
             "elapsed_sec": round(elapsed, 3),
             "events_per_sec": round((hi - lo) / elapsed, 1) if elapsed else 0,
             "bytes_per_sec": round(n_bytes / elapsed, 1) if elapsed else 0,
@@ -1538,6 +1399,27 @@ def _concat_evolving(tables: list[pa.Table]) -> pa.Table:
     if len(tables) == 1:
         return tables[0]
     return pa.concat_tables(tables, promote_options="permissive")
+
+
+def _txn_name(lo: int, hi: int) -> str:
+    return f"txn-{lo:012d}-{hi:012d}"
+
+
+def _row_size(tail) -> int:
+    """Mean event bytes from the tail's (rows, bytes) estimate; 0 when
+    unknown."""
+    rows, nbytes = tail.size_estimate()
+    return max(1, nbytes // rows) if rows and nbytes else 0
+
+
+def _batch_size(row_size: int, approx_rows: int, ncpu: int,
+                target_bytes: int = 96 << 20) -> int:
+    """Combiner batch size: ~96 MiB of rows (bytes-aware, so the per-batch
+    dedup actually reduces and shuffle row groups stay read-efficient),
+    capped so the map side has ≥2 batches per core."""
+    size = int(min(131072, max(1024, target_bytes // row_size))) \
+        if row_size else 32768
+    return max(2048, min(size, approx_rows // (2 * ncpu) or size))
 
 
 def _empty_metrics() -> pa.Table:

@@ -177,7 +177,7 @@ def _last_per_key_distributed(mat: rd.Dataset, keys: list[str]) -> pa.Table:
     matching the reference's sequential row-at-a-time application,
     ops/sql/Upsert.scala:14-32) is made explicit as a __pos column from
     per-block offsets of the materialized metadata; each batch
-    pre-combines (PartialLww shape — shuffle volume is bounded by
+    pre-combines (the replay combiner's shape — shuffle volume is bounded by
     distinct-keys-per-batch), then ONE groupby shuffle keeps the global
     max-__pos row per key. Only the reduced stream reaches the driver."""
     import ray

@@ -78,13 +78,59 @@ class TestReplayCorrectness:
         assert lake_sha(eng) == expected
 
     def test_bounded_incremental_merge_matches(self, events_dir, oracle_state,
-                                               tmp_path):
-        # merge_fanin=2 forces many incremental LWW reduce steps per
-        # partition (the bounded-state path for hot partitions)
+                                               tmp_path, monkeypatch):
+        # the reduce flushes (concat + LWW winner select) a partition's
+        # pending slices once they reach its accumulator's size, floor
+        # REDUCE_FLUSH_FLOOR rows. An instance floor of 1 forces several
+        # flushes per partition — the bounded-state path for hot partitions
+        # — run in-process over a shuffle dir the map step wrote
+        from collections import Counter
+
+        import pyarrow as pa
+        import ray.data as rd
+
+        from qwery_ray.cdc import engine as E
+        from qwery_ray.cdc.oracle import sha256_of_table
+
         _, expected = oracle_state
-        eng = make_engine(tmp_path, merge_fanin=2)
-        eng.replay(events_dir, chunk_lsns=1000)
-        assert lake_sha(eng) == expected
+        sdir = str(tmp_path / "shuffle")
+        os.makedirs(sdir)
+        write = E.MultiTxnShuffleWrite(8, [(0, 2000, sdir)])
+        stats = []
+        for f in sorted(os.listdir(events_dir)):
+            seg = pq.read_table(os.path.join(events_dir, f))
+            stats += [write(seg.slice(i, 200))
+                      for i in range(0, seg.num_rows, 200)]
+        E.CDCLakeEngine._collect_shuffle_index(
+            rd.from_arrow(pa.concat_tables(stats)))
+
+        flushes = Counter()
+        winners = E.lww_winner_indices
+
+        def counting(t, key_cols):
+            flushes[t.column("pkey")[0].as_py()] += 1
+            return winners(t, key_cols)
+
+        monkeypatch.setattr(E, "lww_winner_indices", counting)
+        pids = list(range(8))
+        one = E.MergePartitionFS(str(tmp_path), "t", {}, sdir) \
+            ._reduce_shuffle(pids)
+        assert dict(flushes) == {p: 1 for p in pids}
+        flushes.clear()
+        merge = E.MergePartitionFS(str(tmp_path), "t", {}, sdir)
+        merge.REDUCE_FLUSH_FLOOR = 1
+        inc = merge._reduce_shuffle(pids)
+        assert set(flushes) == set(pids)
+        assert min(flushes.values()) > 1
+
+        def canon(t):
+            return t.select(sorted(t.column_names)).sort_by(
+                [("repo", "ascending"), ("path", "ascending")])
+
+        for p in pids:
+            assert canon(inc[p]).equals(canon(one[p])), p
+        lake = E.resolve_with_deltas(None, list(inc.values()), E.KEY_COLS)
+        assert sha256_of_table(lake) == expected
 
 
 class TestExactlyOnce:
@@ -111,6 +157,73 @@ class TestExactlyOnce:
             after = f.read()
         assert before == after
         assert lake_sha(eng) == expected
+
+
+class TestReplayWaves:
+    """replay() maps its chunks in waves through one map step, _map_all.
+    A failed call removes the staging of every txn it did not commit (the
+    writer id is random per engine, so nothing else ever would), and each
+    commit record carries the txn's share of its map pass."""
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_failed_replay_leaves_no_staging(self, events_dir, tmp_path,
+                                             monkeypatch, budget):
+        from qwery_ray.cdc import engine as E
+
+        def failing_merge(self, *args):
+            raise OSError("merge failed")
+
+        monkeypatch.setattr(E.CDCLakeEngine, "_run_merge", failing_merge)
+        if budget is not None:  # one chunk per wave: a prefetch is running
+            monkeypatch.setattr(E, "MAP_LOOKAHEAD_BYTES", budget)
+        eng = make_engine(tmp_path)
+        with pytest.raises(OSError, match="merge failed"):
+            eng.replay(events_dir, chunk_lsns=700)
+        staging = os.path.join(eng.lake_dir, "_staging")
+        assert os.listdir(staging) == []
+        with pytest.raises(OSError, match="merge failed"):
+            eng.apply_chunk(events_dir, 0, 700)
+        assert os.listdir(staging) == []
+        assert eng.load_manifest()["version"] == 0
+
+    def test_one_chunk_per_wave_prefetches(self, events_dir, oracle_state,
+                                           tmp_path, monkeypatch):
+        import threading
+
+        from qwery_ray.cdc import engine as E
+
+        _, expected = oracle_state
+        calls = []
+        real_map = E.CDCLakeEngine._map_all
+
+        def spy(self, events_path, spans):
+            calls.append((list(spans), threading.get_ident()))
+            return real_map(self, events_path, spans)
+
+        monkeypatch.setattr(E.CDCLakeEngine, "_map_all", spy)
+        monkeypatch.setattr(E, "MAP_LOOKAHEAD_BYTES", 1)
+        eng = make_engine(tmp_path)
+        m = eng.replay(events_dir, chunk_lsns=500)
+        assert [s for s, _ in calls] == [[(0, 500)], [(500, 1000)],
+                                         [(1000, 1500)], [(1500, 2000)]]
+        main = threading.get_ident()
+        assert calls[0][1] == main
+        assert all(t != main for _, t in calls[1:])
+        assert len(m["committed_txns"]) == 4
+        assert lake_sha(eng) == expected
+        assert os.listdir(os.path.join(eng.lake_dir, "_staging")) == []
+
+    def test_commit_records_include_map_time(self, events_dir, tmp_path):
+        eng = make_engine(tmp_path)
+        eng.replay(events_dir, chunk_lsns=700)
+        recs = [r for r in eng.stats_records() if r.get("type") != "inflight"]
+        assert [(r["lo"], r["hi"]) for r in recs] == \
+            [(0, 700), (700, 1400), (1400, 2000)]
+        for r in recs:
+            assert r["map_sec"] > 0
+            assert r["elapsed_sec"] >= r["map_sec"]
+            # throughput over the whole txn wall, map share included
+            assert r["events_per_sec"] <= (r["hi"] - r["lo"]) / r["map_sec"]
 
 
 class TestResume:
@@ -214,16 +327,18 @@ class TestWideContent:
     def test_wide_rows_small_batches(self, ray_session, tmp_path):
         """~50 KB contents: the bytes-aware combiner batch size must shrink
         (wide-record stressor, FIXTURES.md §2) and results stay exact."""
-        from qwery_ray.cdc.engine import CDCLakeEngine
+        from qwery_ray.cdc.engine import CDCLakeEngine, _batch_size, \
+            _row_size
         from qwery_ray.cdc.oracle import naive_replay, sha256_of_state, \
             sha256_of_table
         from qwery_ray.cdc.synth import synth_change_events
+        from qwery_ray.cdc.tail import resolve_tail
 
         ev = str(tmp_path / "ev")
         synth_change_events(ev, n_keys=60, n_events=400, seed=5,
                             n_segments=2, mean_content_len=50_000)
         eng = CDCLakeEngine(str(tmp_path / "lake"), num_partitions=4)
-        bs = eng._auto_batch_size(ev)
+        bs = _batch_size(_row_size(resolve_tail(ev)), 10**9, ncpu=1)
         assert bs < 20_000  # bytes-aware: far below the row-count cap
         eng.replay(ev, chunk_lsns=200)
         expected = sha256_of_state(naive_replay(ev))
@@ -252,7 +367,7 @@ class TestMultiWriterOCC:
         def run():
             try:
                 eng = CDCLakeEngine(lake, num_partitions=4)
-                eng.replay(ev, chunk_lsns=300, pipelined=False)
+                eng.replay(ev, chunk_lsns=300)
             except Exception as e:  # surfaced below
                 errs.append(e)
 
@@ -384,7 +499,7 @@ class TestTimeTravel:
         synth_change_events(ev, n_keys=120, n_events=900, seed=5,
                             n_segments=3)
         eng = CDCLakeEngine(str(tmp_path / "lake"), num_partitions=4)
-        eng.replay(ev, chunk_lsns=300, pipelined=False)
+        eng.replay(ev, chunk_lsns=300)
         assert eng.versions() == [1, 2, 3]
         for v, upto in [(1, 300), (2, 600), (3, 900)]:
             got = sha256_of_table(eng.table(version=v))
@@ -402,7 +517,7 @@ class TestTimeTravel:
                             n_segments=2)
         eng = CDCLakeEngine(str(tmp_path / "lake2"), num_partitions=2)
         eng.TIME_TRAVEL_RETAIN = 2
-        eng.replay(ev, chunk_lsns=100, pipelined=False)  # 6 versions
+        eng.replay(ev, chunk_lsns=100)  # 6 versions
         assert eng.versions() == [5, 6]
         # retained snapshots still read; files for them survived GC
         assert eng.table(version=5).num_rows > 0
@@ -422,7 +537,7 @@ class TestChangeFeed:
         synth_change_events(ev, n_keys=100, n_events=800, seed=21,
                             n_segments=2)
         eng = CDCLakeEngine(str(tmp_path / "lake"), num_partitions=4)
-        eng.replay(ev, chunk_lsns=400, pipelined=False)  # versions 1, 2
+        eng.replay(ev, chunk_lsns=400)  # versions 1, 2
 
         cdf = eng.changes(1, 2).to_pandas()
         s1 = naive_replay(ev, upto_lsn=400)
@@ -461,7 +576,7 @@ class TestChangeFeed:
             "repo": ["r1"], "path": ["a"],
             "commit": ["c"], "lang": ["py"],
             "content": ["z"]}), f"{ev}/seg1.parquet")
-        eng.replay(ev, chunk_lsns=2, pipelined=False)
+        eng.replay(ev, chunk_lsns=2)
         cdf = eng.changes(1).to_pandas()
         # only key (r1, a) changed in txn 2
         assert set(zip(cdf["repo"], cdf["path"])) == {("r1", "a")}
@@ -650,11 +765,10 @@ class TestPropertyFuzzCDC:
             if kill_at > 0:
                 # partial replay, then a fresh engine instance resumes from
                 # the on-disk manifest (the mid-replay-kill contract)
-                eng.replay(str(ev), max_lsn=kill_at, chunk_lsns=chunk,
-                           pipelined=False)
+                eng.replay(str(ev), max_lsn=kill_at, chunk_lsns=chunk)
                 eng = CDCLakeEngine(lake, num_partitions=nparts,
                                     merge_mode=mode)
-            eng.replay(str(ev), chunk_lsns=chunk, pipelined=False)
+            eng.replay(str(ev), chunk_lsns=chunk)
 
             got = {(r["repo"], r["path"]): r
                    for r in eng.table().to_pylist()}
@@ -765,7 +879,7 @@ class TestVacuum:
         synth_change_events(events, n_keys=100, n_events=800, seed=31,
                             n_segments=2)
         eng = CDCLakeEngine(str(tmp_path / "lake"), num_partitions=4)
-        eng.replay(events, chunk_lsns=160, pipelined=False)  # 5 versions
+        eng.replay(events, chunk_lsns=160)  # 5 versions
         assert len(eng.versions()) == 5
 
         res = QweryEngine().sql(
@@ -835,19 +949,24 @@ class TestHotKeySkew:
             total += len(paths)
         assert n_hot / total > 0.4  # the stream is genuinely pathological
 
-    def test_combiner_collapses_hot_key(self, ray_session, skew_events):
-        # the scale argument itself: after PartialLww, each batch carries
-        # at most ONE row per key — shuffle volume for the hot key is
-        # O(batches), independent of its event share
+    def test_combiner_collapses_hot_key(self, skew_events, tmp_path):
+        # the scale argument itself: the shuffle file the map step writes
+        # for a batch carries at most ONE row per key — shuffle volume for
+        # the hot key is O(batches), independent of its event share
         import pyarrow.parquet as _pq
 
-        from qwery_ray.cdc.engine import PartialLww
+        from qwery_ray.cdc.engine import MultiTxnShuffleWrite
+        from qwery_ray.cdc.tail import resolve_tail
 
-        comb = PartialLww(num_partitions=8)
+        sdir = str(tmp_path / "shuffle")
+        os.makedirs(sdir)
+        lo, hi = resolve_tail(skew_events).lsn_range()
+        write = MultiTxnShuffleWrite(8, [(lo - 1, hi, sdir)])
         for f in sorted(os.listdir(skew_events)):
             batch = _pq.read_table(os.path.join(skew_events, f))
-            out = comb(batch)
+            fname = write(batch).column("fname")[0].as_py()
+            out = _pq.read_table(os.path.join(sdir, fname))
             keys = list(zip(out.column("repo").to_pylist(),
                             out.column("path").to_pylist()))
             assert len(keys) == len(set(keys))
-            assert len(out) <= batch.num_rows
+            assert len(out) < batch.num_rows

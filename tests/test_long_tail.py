@@ -240,7 +240,7 @@ class TestLakeSqlReads:
                             n_segments=2)
         lake = str(tmp_path / "lake3")
         eng = CDCLakeEngine(lake, num_partitions=4)
-        eng.replay(ev, chunk_lsns=300, pipelined=False)
+        eng.replay(ev, chunk_lsns=300)
 
         q = QweryEngine(table_root=str(tmp_path))
         now = q.sql(f"SELECT COUNT(*) AS n FROM '{lake}' WITH LAKE"
@@ -292,7 +292,7 @@ class TestLakeChangesSql:
                             n_segments=2)
         lake = str(tmp_path / "lake")
         eng = CDCLakeEngine(lake, num_partitions=4)
-        eng.replay(ev, chunk_lsns=250, pipelined=False)
+        eng.replay(ev, chunk_lsns=250)
         assert eng.versions() == [1, 2]
 
         q = QweryEngine()
