@@ -12,7 +12,9 @@ LSN order.
 Pipeline of a replay: each LSN chunk is one transaction, and the chunks are
 mapped in WAVES, one map pass per wave:
 
-    read_parquet(events, filter=lo<lsn<=hi)            # row-group pushdown
+    tail.dataset(lo, hi)                               # footer-pruned:
+          only the segments whose lsn min/max overlaps the wave's span are
+          opened, then a lo<lsn<=hi row filter
       → map_batches(MultiTxnShuffleWrite)              # split by txn span,
           per-batch LWW combine, ONE shuffle file per task and txn with one
           row group per partition, in _staging/{txn}/w-{writer}/shuffle/;
@@ -444,22 +446,24 @@ def _merge_group_task():
 class _InflightReporter:
     """Periodic IN-FLIGHT progress snapshots while a transaction runs
     (reference StatisticsGenerator.scala:49-80: %complete/ETA rows on a
-    10-second cadence, not just at commit). A daemon thread samples one
-    staging directory — shuffle bytes against ``total`` expected bytes in
-    the ``"map"`` phase, staged partition files against ``total`` touched
-    partitions in the ``"merge"`` phase — and appends
-    ``{"type": "inflight", ...}`` records to ``_stats.jsonl``. The manifest
-    is untouched, so commit determinism is unaffected."""
+    10-second cadence, not just at commit). A daemon thread samples the
+    staging directories of the ``txns`` in flight — every shuffle dir of a
+    map wave, shuffle bytes against ``total`` expected bytes, in the
+    ``"map"`` phase; staged partition files against ``total`` touched
+    partitions in the ``"merge"`` phase of one txn — and appends
+    ``{"type": "inflight", "txns": [...], ...}`` records to
+    ``_stats.jsonl``. The manifest is untouched, so commit determinism is
+    unaffected."""
 
-    def __init__(self, engine: "CDCLakeEngine", txn: str, phase: str,
-                 watch_dir: str, total: int):
+    def __init__(self, engine: "CDCLakeEngine", txns: list, phase: str,
+                 watch_dirs: list, total: int):
         import threading
         import time as _time
 
         self.engine = engine
-        self.txn = txn
+        self.txns = txns
         self.phase = phase
-        self.watch_dir = watch_dir
+        self.watch_dirs = watch_dirs
         self.total = total
         self._t0 = _time.perf_counter()
         self._stop = threading.Event()
@@ -490,9 +494,12 @@ class _InflightReporter:
 
         while not self._stop.wait(self.engine.stats_interval_sec):
             elapsed = _time.perf_counter() - self._t0
-            rec = {"type": "inflight", "txn": self.txn, "phase": self.phase,
-                   "elapsed_sec": round(elapsed, 3)}
-            files, nbytes = self._dir_stats(self.watch_dir)
+            rec = {"type": "inflight", "txns": self.txns,
+                   "phase": self.phase, "elapsed_sec": round(elapsed, 3)}
+            files = nbytes = 0
+            for d in self.watch_dirs:
+                f, b = self._dir_stats(d)
+                files, nbytes = files + f, nbytes + b
             if self.phase == "map":
                 # shuffle output ≤ combined+compressed input bytes, so this
                 # pct is a floor — good enough for an ETA order of magnitude
@@ -649,7 +656,12 @@ class CDCLakeEngine:
         so another writer's txn over the same span never reads as ours."""
         from concurrent.futures import ThreadPoolExecutor
 
-        lo_bound, hi_bound = self._events_lsn_range(events_path)
+        from .tail import resolve_tail
+
+        # one tail object for the whole call: its footer cache serves the
+        # range, the sizing and every wave's span read
+        tail = resolve_tail(events_path)
+        lo_bound, hi_bound = tail.lsn_range()
         if max_lsn is not None:
             hi_bound = min(hi_bound, max_lsn)
         manifest = self.load_manifest()
@@ -667,9 +679,7 @@ class CDCLakeEngine:
         # each map pass carries a fixed streaming-executor startup (~0.3-0.5
         # s), so small chunks share a pass; big chunks (≥ the byte budget)
         # get one pass each, and map(k+1) ∥ merge(k) still overlaps them
-        from .tail import resolve_tail
-
-        row_size = _row_size(resolve_tail(events_path)) or 256
+        row_size = _row_size(tail, start, hi_bound) or 256
         per_wave = max(1, MAP_LOOKAHEAD_BYTES // (chunk_lsns * row_size))
         waves = [chunks[i:i + per_wave]
                  for i in range(0, len(chunks), per_wave)]
@@ -677,12 +687,12 @@ class CDCLakeEngine:
             # leaving the with-block joins a prefetch still mapping, so the
             # cleanup below never races its shuffle writes
             with ThreadPoolExecutor(max_workers=1) as prefetch:
-                wall = self._map_all(events_path, waves[0])
+                wall = self._map_all(tail, waves[0])
                 for w, wave in enumerate(waves):
                     if w:
                         wall = nxt.result()
                     if w + 1 < len(waves):
-                        nxt = prefetch.submit(self._map_all, events_path,
+                        nxt = prefetch.submit(self._map_all, tail,
                                               waves[w + 1])
                     lsns = wave[-1][1] - wave[0][0]
                     for lo, hi in wave:
@@ -695,9 +705,10 @@ class CDCLakeEngine:
             raise
         return manifest
 
-    def _map_all(self, events_path: str, spans) -> float:
+    def _map_all(self, events_path, spans) -> float:
         """The replay's one map step: one combine+shuffle pass for the
-        txns of ``spans`` [(lo, hi), ...] (ordered, contiguous). Clears
+        txns of ``spans`` [(lo, hi), ...] (ordered, contiguous) over the
+        tail ``events_path`` (a path or an :class:`EventTail`). Clears
         each txn's shuffle dir first, so a crashed earlier attempt cannot
         leak rows. Returns the pass's wall seconds."""
         import time as _time
@@ -715,12 +726,13 @@ class CDCLakeEngine:
             dirs.append((lo, hi, sdir))
         lo_all, hi_all = spans[0][0], spans[-1][1]
         tail = resolve_tail(events_path)
-        row_size = _row_size(tail)
+        row_size = _row_size(tail, lo_all, hi_all)
         ncpu = int(_ray.cluster_resources().get("CPU", 8)) \
             if _ray.is_initialized() else 8
         approx_rows = max(1, hi_all - lo_all)  # LSNs are dense in the tail
         reporter = _InflightReporter(
-            self, _txn_name(lo_all, hi_all), "map", dirs[0][2],
+            self, [_txn_name(lo, hi) for lo, hi in spans], "map",
+            [sdir for _, _, sdir in dirs],
             (row_size or 256) * approx_rows).start()
         try:
             stats = tail.dataset(lo_all, hi_all).map_batches(
@@ -745,27 +757,25 @@ class CDCLakeEngine:
         (pass None to follow forever)."""
         import time as _time
 
+        from .tail import resolve_tail
+
+        # one tail object for the whole loop: a poll reads only the footers
+        # of segments published since the last one
+        tail = resolve_tail(events_path)
         idle = 0
         while idle_rounds is None or idle < idle_rounds:
             manifest = self.load_manifest()
             try:
-                _, hi = self._events_lsn_range(events_path)
+                _, hi = tail.lsn_range()
             except ValueError:
                 hi = manifest["watermark_lsn"]  # no segments yet
             if hi > manifest["watermark_lsn"]:
-                self.replay(events_path, chunk_lsns=chunk_lsns)
+                self.replay(tail, chunk_lsns=chunk_lsns)
                 idle = 0
             else:
                 idle += 1
                 _time.sleep(poll_interval)
         return self.load_manifest()
-
-    def _events_lsn_range(self, events_path) -> tuple[int, int]:
-        """Available (min, max) LSN from the tail source (the default
-        ParquetTail reads footer statistics only — no data pages)."""
-        from .tail import resolve_tail
-
-        return resolve_tail(events_path).lsn_range()
 
     def apply_chunk(self, events_path: str, lo: int, hi: int,
                     manifest: Optional[dict] = None, *,
@@ -806,8 +816,8 @@ class CDCLakeEngine:
         txn = _txn_name(lo, hi)
         shuffle_dir = self._txn_shuffle_dir(txn)
         touched = self._touched_partitions(shuffle_dir)
-        reporter = _InflightReporter(self, txn, "merge",
-                                     self._writer_staging(txn),
+        reporter = _InflightReporter(self, [txn], "merge",
+                                     [self._writer_staging(txn)],
                                      len(touched)).start()
         try:
             for attempt in range(4):
@@ -1405,10 +1415,11 @@ def _txn_name(lo: int, hi: int) -> str:
     return f"txn-{lo:012d}-{hi:012d}"
 
 
-def _row_size(tail) -> int:
-    """Mean event bytes from the tail's (rows, bytes) estimate; 0 when
-    unknown."""
-    rows, nbytes = tail.size_estimate()
+def _row_size(tail, lo: Optional[int] = None,
+              hi: Optional[int] = None) -> int:
+    """Mean event bytes from the tail's (rows, bytes) estimate of the span
+    (lo, hi], or of the whole tail; 0 when unknown."""
+    rows, nbytes = tail.size_estimate(lo, hi)
     return max(1, nbytes // rows) if rows and nbytes else 0
 
 

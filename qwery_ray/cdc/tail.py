@@ -39,62 +39,108 @@ class EventTail:
         raise NotImplementedError
 
     def dataset(self, lo: int, hi: int) -> rd.Dataset:
-        """Events with lo < lsn <= hi as a Dataset (repeatable read)."""
+        """Events with lo < lsn <= hi as a Dataset (repeatable read). A
+        span read should touch only the storage that can hold the span:
+        :class:`ParquetTail` reads only the segments whose footer ``lsn``
+        statistics overlap it."""
         raise NotImplementedError
 
-    def size_estimate(self) -> tuple[int, int]:
-        """(rows, bytes) sample for combiner batch sizing; (0, 0) if
-        unknown — the engine falls back to a default batch size."""
+    def size_estimate(self, lo: Optional[int] = None,
+                      hi: Optional[int] = None) -> tuple[int, int]:
+        """(rows, bytes) sample for combiner batch sizing, of the span
+        (lo, hi] when given (an implementation may size the whole tail
+        instead); (0, 0) if unknown — the engine falls back to a default
+        batch size."""
         return (0, 0)
+
+
+def _footer_stats(path: str) -> tuple:
+    """(lsn_min, lsn_max, rows, bytes) of one parquet file from its footer
+    alone; min/max are None when any row group lacks ``lsn`` statistics
+    (such a file overlaps every span)."""
+    md = pq.read_metadata(path)
+    idx = md.schema.to_arrow_schema().get_field_index("lsn")
+    if idx < 0:
+        raise ValueError(
+            f"events table {path} has no 'lsn' column (the per-key "
+            "ordering authority) — add one, e.g. SELECT ..., "
+            "event_id AS lsn")
+    groups = [md.row_group(i) for i in range(md.num_row_groups)]
+    stats = [g.column(idx).statistics for g in groups if g.num_rows]
+    nbytes = sum(g.total_byte_size for g in groups)
+    if stats and all(st is not None and st.has_min_max for st in stats):
+        return (min(st.min for st in stats), max(st.max for st in stats),
+                md.num_rows, nbytes)
+    return None, None, md.num_rows, nbytes
 
 
 class ParquetTail(EventTail):
     """The default tail: a directory of parquet segment files (or one file)
-    whose ``lsn`` column is the ordering authority. Range discovery reads
-    footer statistics only — no data pages."""
+    whose ``lsn`` column is the ordering authority.
+
+    Each file's footer is read once per instance, the first time the file
+    is listed, into ``{file: (lsn_min, lsn_max, rows, bytes)}``; a renamed
+    segment is immutable, and a file rewritten in place (new mtime or size)
+    is read again. :meth:`lsn_range`, :meth:`size_estimate` and
+    :meth:`dataset` all read that cache, so a re-poll reads only new
+    segments' footers. A span read touches only the segments whose ``lsn``
+    min/max overlaps the span (files without statistics are always read)
+    and keeps the ``lsn`` filter for the row groups inside them."""
 
     def __init__(self, path: str):
         self.path = path
+        self._footers: dict[str, tuple] = {}  # file → ((mtime, size), stats)
 
     def _files(self) -> list[str]:
         if os.path.isdir(self.path):
             return sorted(glob.glob(os.path.join(self.path, "*.parquet")))
         return [self.path]
 
-    def lsn_range(self) -> tuple[int, int]:
-        lo, hi = None, None
+    def _segments(self) -> dict[str, tuple]:
+        """{file: (lsn_min, lsn_max, rows, bytes)} of the files listed now;
+        a vanished file drops out of the cache with its listing."""
+        cache = {}
         for f in self._files():
-            md = pq.read_metadata(f)
-            idx = md.schema.to_arrow_schema().get_field_index("lsn")
-            if idx < 0:
-                raise ValueError(
-                    f"events table {f} has no 'lsn' column (the per-key "
-                    "ordering authority) — add one, e.g. SELECT ..., "
-                    "event_id AS lsn")
-            for rg in range(md.num_row_groups):
-                st = md.row_group(rg).column(idx).statistics
-                if st is not None and st.has_min_max:
-                    lo = st.min if lo is None else min(lo, st.min)
-                    hi = st.max if hi is None else max(hi, st.max)
-        if lo is None:
+            st = os.stat(f)
+            sig = (st.st_mtime_ns, st.st_size)
+            hit = self._footers.get(f)
+            cache[f] = hit if hit and hit[0] == sig \
+                else (sig, _footer_stats(f))
+        self._footers = cache
+        return {f: stats for f, (_, stats) in cache.items()}
+
+    def _span(self, lo: int, hi: int) -> dict[str, tuple]:
+        """The listed files whose lsn min/max overlaps (lo, hi], and every
+        file without statistics."""
+        return {f: s for f, s in self._segments().items()
+                if s[0] is None or (s[0] <= hi and s[1] > lo)}
+
+    def lsn_range(self) -> tuple[int, int]:
+        known = [s for s in self._segments().values() if s[0] is not None]
+        if not known:
             raise ValueError(f"no lsn statistics found under {self.path}")
-        return int(lo), int(hi)
+        return int(min(s[0] for s in known)), int(max(s[1] for s in known))
 
     def dataset(self, lo: int, hi: int) -> rd.Dataset:
+        files = list(self._span(lo, hi))
+        if not files:
+            # the span falls in a gap between segments: zero rows, no read
+            if not self._footers:
+                raise ValueError(f"no segments under {self.path}")
+            return rd.from_arrow(
+                pq.read_schema(next(iter(self._footers))).empty_table())
         return rd.read_parquet(
-            self.path,
+            files,
             filter=(pc.field("lsn") > pa.scalar(lo))
             & (pc.field("lsn") <= pa.scalar(hi)),
         )
 
-    def size_estimate(self) -> tuple[int, int]:
-        rows, nbytes = 0, 0
-        for f in self._files()[:4]:
-            md = pq.read_metadata(f)
-            rows += md.num_rows
-            nbytes += sum(md.row_group(i).total_byte_size
-                          for i in range(md.num_row_groups))
-        return rows, nbytes
+    def size_estimate(self, lo: Optional[int] = None,
+                      hi: Optional[int] = None) -> tuple[int, int]:
+        segs = self._segments() if lo is None or hi is None \
+            else self._span(lo, hi)
+        return (sum(s[2] for s in segs.values()),
+                sum(s[3] for s in segs.values()))
 
 
 class ArrowTail(EventTail):
@@ -133,7 +179,8 @@ class ArrowTail(EventTail):
                        pc.less_equal(t.column("lsn"), hi))
         return rd.from_arrow(t.filter(mask))
 
-    def size_estimate(self) -> tuple[int, int]:
+    def size_estimate(self, lo: Optional[int] = None,
+                      hi: Optional[int] = None) -> tuple[int, int]:
         if self._table is None:
             return (0, 0)
         return (self._table.num_rows, self._table.nbytes)

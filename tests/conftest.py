@@ -45,6 +45,18 @@ def duck():
     con.close()
 
 
+def scramble_data_pages(path):
+    """Overwrite every byte of a parquet file between the leading magic and
+    the footer: the schema and statistics stay readable, any read of the
+    data raises."""
+    with open(path, "rb") as f:
+        b = bytearray(f.read())
+    end = len(b) - 8 - int.from_bytes(b[-8:-4], "little")
+    b[4:end] = b"\xff" * (end - 4)
+    with open(path, "wb") as f:
+        f.write(b)
+
+
 def to_pandas(result):
     """Normalize a Dataset / pa.Table / DataFrame result to pandas."""
     import pandas as pd

@@ -8,7 +8,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from conftest import SF_TINY
+from conftest import SF_TINY, scramble_data_pages
 
 
 @pytest.fixture()
@@ -579,17 +579,6 @@ def _lake_rows(lake):
     return {r["k"]: r for r in t.to_pylist()}
 
 
-def _scramble_data_pages(path):
-    """Overwrite every byte between the leading magic and the footer: the
-    schema stays readable, any read of the data raises."""
-    with open(path, "rb") as f:
-        b = bytearray(f.read())
-    end = len(b) - 8 - int.from_bytes(b[-8:-4], "little")
-    b[4:end] = b"\xff" * (end - 4)
-    with open(path, "wb") as f:
-        f.write(b)
-
-
 @pytest.mark.usefixtures("ray_session")
 class TestMergeIntoLake:
     """r5 superset: ANSI MERGE INTO an exactly-once CDC lake target — the
@@ -765,7 +754,7 @@ class TestMergeIntoLake:
                                           info.get("deltas") or []]:
                 path = os.path.join(lake, rel)
                 saved[path] = open(path, "rb").read()
-                _scramble_data_pages(path)
+                scramble_data_pages(path)
         assert saved
         try:
             res = self._merge(tmp_path, lake, src, """
