@@ -344,9 +344,8 @@ def _tagged_merge_core(stmt: A.Merge, ds_t, tschema: pa.Schema,
     the per-bucket result is exactly the driver path's. ONE all-to-all
     shuffle total (the groupby); no join operator. Returns the tagged
     dataset (target schema + ``__mrg_action``)."""
-    import ray
-
-    from ..sqlc.compiler import AddBucketCol, _drop_empty_blocks
+    from ..sqlc.compiler import (AddBucketCol, _drop_empty_blocks,
+                                 _shuffle_buckets)
 
     conform = PadToSchema(
         pa.schema(list(tschema) + [pa.field(_ACTION, pa.string())]))
@@ -396,9 +395,7 @@ def _tagged_merge_core(stmt: A.Merge, ds_t, tschema: pa.Schema,
                 pc.coalesce(t.column(tk), t.column(f"__s_{sk}")))
         return t
 
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) \
-        if ray.is_initialized() else 8
-    nbuckets = max(32, ncpu * 4)
+    nbuckets = _shuffle_buckets()
     bkcols = [f"__bk{i}" for i in range(len(tkeys))]
     unioned = ds_t.map_batches(widen_t, batch_format="pyarrow") \
         .union(src_mat.map_batches(widen_s, batch_format="pyarrow")) \

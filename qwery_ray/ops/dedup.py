@@ -105,12 +105,7 @@ def exact_dedup(ds: rd.Dataset, text_col: str = "text",
     corpus). Losers are removed from the original dataset by a
     broadcast-set filter when small, else by one left_anti hash join on
     the id column — either way full rows move at most once."""
-    import ray
-
-    from ..sqlc.compiler import AddBucketCol
-
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) \
-        if ray.is_initialized() else 8
+    from ..sqlc.compiler import AddBucketCol, _shuffle_buckets
 
     pairs = ds.select_columns([id_col, text_col]) \
         .map_batches(ContentHash(text_col), batch_format="pyarrow") \
@@ -133,7 +128,7 @@ def exact_dedup(ds: rd.Dataset, text_col: str = "text",
         loser_arr = np.unique(df.loc[df[id_col] != m, id_col].to_numpy())
     else:
         losers = pairs.map_batches(
-            AddBucketCol(["content_sha"], max(32, ncpu * 4), "__db"),
+            AddBucketCol(["content_sha"], _shuffle_buckets(), "__db"),
             batch_format="pyarrow") \
             .groupby("__db") \
             .map_groups(losers_in_bucket, batch_format="pandas")

@@ -87,12 +87,8 @@ def session_window_agg(ds: rd.Dataset, *, key_col: str = "user_id",
 
     Emits (key, session_start_sec, session_end_sec, n_events)."""
     import pandas as pd
-    import ray
 
-    from ..sqlc.compiler import AddBucketCol
-
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) \
-        if ray.is_initialized() else 8
+    from ..sqlc.compiler import AddBucketCol, _shuffle_buckets
 
     def to_secs(t: pa.Table) -> pa.Table:
         secs = np.floor_divide(
@@ -121,7 +117,7 @@ def session_window_agg(ds: rd.Dataset, *, key_col: str = "user_id",
         # bucket shuffle barrier (sessionize sorts by key anyway)
         return secs.repartition(1).map_batches(
             sessionize, batch_format="pandas", batch_size=None)
-    return (secs.map_batches(AddBucketCol([key_col], max(32, ncpu * 4),
+    return (secs.map_batches(AddBucketCol([key_col], _shuffle_buckets(),
                                           "__sb"),
                              batch_format="pyarrow")
             .groupby("__sb")

@@ -248,7 +248,7 @@ def compile_asof_join(compiler, left, j, sel, needed):
                            HarmonizeJoinKeys, RenameBatch,
                            BROADCAST_ROW_LIMIT, BROADCAST_BYTE_LIMIT,
                            BROADCAST_ROW_HARD_CAP, _env, _harmonize_keys,
-                           _materialize_small)
+                           _materialize_small, _shuffle_buckets)
 
     env = _env(compiler.session)
     right = compiler.compile_source(j.right, columns=needed)
@@ -304,9 +304,7 @@ def compile_asof_join(compiler, left, j, sel, needed):
 
     # large right side: one coarse bucket shuffle co-locates each equi-key
     # on both sides, then every bucket matches locally (sorted merge)
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) \
-        if ray.is_initialized() else 8
-    nbuckets = max(32, ncpu * 4)
+    nbuckets = _shuffle_buckets()
     l_schema = left_ds.schema().base_schema
     r_schema = right_ds.schema().base_schema
     l_schema = pa.schema([l_schema.field(c) for c in left.columns])

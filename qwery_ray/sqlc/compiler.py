@@ -29,7 +29,8 @@ import ray.data as rd
 from ray.data.aggregate import AggregateFn, Max, Min, Sum
 
 from . import ast as A
-from .exprs import Evaluator, collect_agg_calls, collect_column_refs
+from .exprs import (HOLISTIC_AGG_NAMES, Evaluator, collect_agg_calls,
+                    collect_column_refs)
 from .rewrite import substitute_nodes, transform_expr
 
 BROADCAST_ROW_LIMIT = 500_000  # right sides below this are ray.put-broadcast
@@ -449,6 +450,14 @@ class AddRandomRowId:
         rng = np.random.default_rng(int.from_bytes(_os.urandom(8), "little"))
         ids = rng.integers(-(2 ** 62), 2 ** 62, size=len(t), dtype=np.int64)
         return t.append_column(self.name, pa.array(ids))
+
+
+def _shuffle_buckets() -> int:
+    """Bucket count of a coarse key-hash shuffle: ~4 per cluster CPU, at
+    least 32 (AddBucketCol + groupby(bucket).map_groups)."""
+    ncpu = int(ray.cluster_resources().get("CPU", 8)) \
+        if ray.is_initialized() else 8
+    return max(32, ncpu * 4)
 
 
 class AddBucketCol:
@@ -1177,136 +1186,211 @@ def _sum_type(t: pa.DataType) -> pa.DataType:
     return pa.float64()
 
 
-class GroupAggPandas:
-    """Exact per-group aggregation via map_groups — the fallback path for
-    DISTINCT aggregates; receives all rows of a group."""
+class ExactAgg:
+    """Exact aggregates over whole groups, in Arrow: the one route for
+    DISTINCT and holistic aggregates (HOLISTIC_AGG_NAMES).
+
+    The input holds every row of each of its groups (one bucket of the
+    key-hash shuffle, or the whole input). Each row gets a dense group id
+    once. Per aggregate, the (gid, args) rows follow the in-aggregate
+    ORDER BY, drop NULL args (ARRAY_AGG keeps them) and, under DISTINCT,
+    keep each tuple's first occurrence. Algebraic kinds then reuse PreAgg +
+    CombinePartials grouped by gid (a group's one partial row is already
+    final); holistic kinds sort or count (gid, arg) pairs. Every result is
+    scattered by gid. Without GROUP BY keys the input is one group, even
+    when it is empty."""
+
+    _QUANTILES = ("MEDIAN", "QUANTILE_CONT", "PERCENTILE_CONT",
+                  "QUANTILE_DISC", "PERCENTILE_DISC")
 
     def __init__(self, key_names, aggs, env):
-        self.key_names = key_names
+        self.key_names = list(key_names)
         self.aggs = aggs
-
-    def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        row = {k: [df[k].iloc[0]] for k in self.key_names}
-        for call, i in self.aggs:
-            cname = f"__a{i}"
-            res = f"__r{i}"
+        self.env = env
+        self.arg_cols = []   # the columns PreAggPrep emits per aggregate
+        self.param = {}      # quantile p / STRING_AGG separator
+        for call, i in aggs:
             if call.is_star:
-                row[res] = [len(df)]
                 continue
-            if call.name in BIMOMENT_AGGS:
-                sub = df[[cname, f"{cname}b"]].apply(
-                    pd.to_numeric, errors="coerce").dropna()
-                if call.distinct:
-                    sub = sub.drop_duplicates()
-                row[res] = [_bimoment_scalar(
-                    call.name, y=sub[cname].to_numpy(dtype=float),
-                    x=sub[f"{cname}b"].to_numpy(dtype=float))]
-                continue
-            if call.name in ARG_EXT_AGGS:
-                sub = df[[cname, f"{cname}b"]].dropna()
-                if call.distinct:
-                    sub = sub.drop_duplicates()
-                if not len(sub):
-                    row[res] = [None]
-                else:
-                    ser = sub.sort_values(f"{cname}b", kind="stable")[cname]
-                    row[res] = [ser.iloc[-1] if _argext_ismax(call.name)
-                                else ser.iloc[0]]
-                continue
-            s = df[cname]
-            obs = getattr(call, "order_by", ()) or ()
-            if obs:
-                ocols = [f"__a{i}_o{j}" for j in range(len(obs))]
-                s = df[[cname] + ocols].sort_values(
-                    ocols, ascending=[o.ascending for o in obs],
-                    kind="stable")[cname]
-            if call.distinct:
-                s = s.dropna().drop_duplicates()
-            kind = call.name
-            if kind == "COUNT":
-                row[res] = [s.count()]
-            elif kind == "SUM":
-                row[res] = [s.sum(min_count=1)]
-            elif kind in ("AVG", "MEAN"):
-                row[res] = [s.dropna().astype(float).mean()]
-            elif kind == "MIN":
-                row[res] = [s.min()]
-            elif kind == "MAX":
-                row[res] = [s.max()]
-            elif kind in ("STDDEV", "STDDEV_SAMP"):
-                row[res] = [s.dropna().astype(float).std(ddof=1)]
-            elif kind == "STDDEV_POP":
-                row[res] = [s.dropna().astype(float).std(ddof=0)]
-            elif kind in ("VARIANCE", "VAR_SAMP"):
-                row[res] = [s.dropna().astype(float).var(ddof=1)]
-            elif kind == "VAR_POP":
-                row[res] = [s.dropna().astype(float).var(ddof=0)]
-            elif kind == "MEDIAN":
-                v = s.dropna()
-                row[res] = [v.astype(float).median() if len(v) else None]
-            elif kind == "MODE":
-                v = s.dropna()
-                row[res] = [v.mode().iloc[0] if len(v) else None]
-            elif kind == "PRODUCT":
-                v = s.dropna().astype(float)
-                row[res] = [float(v.prod()) if len(v) else None]
-            elif kind == "ENTROPY":
-                # DuckDB: Shannon entropy (log2) of the value histogram;
-                # empty/all-null group → 0.0
-                v = s.dropna()
-                if len(v):
-                    p = v.value_counts(normalize=True).to_numpy()
-                    row[res] = [float(-(p * np.log2(p)).sum())]
-                else:
-                    row[res] = [0.0]
-            elif kind == "ANY_VALUE":
-                v = s.dropna()
-                row[res] = [v.iloc[0] if len(v) else None]
-            elif kind == "BOOL_AND":
-                v = s.dropna()
-                row[res] = [bool(v.astype(bool).all()) if len(v) else None]
-            elif kind == "BOOL_OR":
-                v = s.dropna()
-                row[res] = [bool(v.astype(bool).any()) if len(v) else None]
-            elif kind in BITWISE_AGGS:
-                import functools
-                import operator
-
-                op = {"BIT_AND": operator.and_, "BIT_OR": operator.or_,
-                      "BIT_XOR": operator.xor}[kind]
-                v = [int(x) for x in s.dropna()]
-                row[res] = [functools.reduce(op, v) if v else None]
-            elif kind in EXT_MOMENT_AGGS:
-                v = s.dropna().astype(float).to_numpy()
-                row[res] = [_ext_moment_scalar(kind, v)]
-            elif kind == "STRING_AGG":
-                sep = ","
-                if len(call.args) > 1 and isinstance(call.args[1], A.Literal):
-                    sep = str(call.args[1].value)
-                v = s.dropna().astype(str)
-                row[res] = [sep.join(v) if len(v) else None]
-            elif kind == "ARRAY_AGG":
-                row[res] = [list(s.dropna())]
-            elif kind in ("QUANTILE_CONT", "PERCENTILE_CONT",
-                          "QUANTILE_DISC", "PERCENTILE_DISC"):
+            self.arg_cols += self._args(call, i) + self._order_cols(call, i)
+            if call.name == "MEDIAN":
+                self.param[i] = 0.5
+            elif call.name in self._QUANTILES:
                 if len(call.args) < 2 or not isinstance(
                         call.args[1], A.Literal):
                     raise ValueError(
-                        f"{kind}(expr, p) requires a literal quantile")
-                p = float(call.args[1].value)
-                v = s.dropna().astype(float)
-                if not len(v):
-                    row[res] = [None]
-                elif kind.endswith("CONT"):
-                    row[res] = [v.quantile(p, interpolation="linear")]
-                else:
-                    # DISC: the element at rank ceil(p·n) (DuckDB)
-                    v = v.sort_values(ignore_index=True)
-                    import math as _math
+                        f"{call.name}(expr, p) requires a literal quantile")
+                self.param[i] = float(call.args[1].value)
+            elif call.name == "STRING_AGG":
+                self.param[i] = str(call.args[1].value) if (
+                    len(call.args) > 1
+                    and isinstance(call.args[1], A.Literal)) else ","
 
-                    r = max(0, _math.ceil(p * len(v)) - 1)
-                    row[res] = [v.iloc[r]]
-        return pd.DataFrame(row)
+    @staticmethod
+    def _args(call, i) -> list:
+        return [f"__a{i}"] + ([f"__a{i}b"] if call.name in TWO_ARG_AGGS
+                              else [])
+
+    @staticmethod
+    def _order_cols(call, i) -> list:
+        return [f"__a{i}_o{j}" for j in range(len(call.order_by or ()))]
+
+    def __call__(self, t: pa.Table) -> pa.Table:
+        t = t.combine_chunks()
+        gid, first = _dense_group_ids(t, self.key_names)
+        ng = len(first)
+        out = {k: t.column(k).take(first) for k in self.key_names}
+        for call, i in self.aggs:
+            out[f"__r{i}"] = self._one(t, gid, ng, call, i)
+        return pa.table(out)
+
+    def _one(self, t: pa.Table, gid: np.ndarray, ng: int, call, i: int):
+        if call.is_star:
+            return pa.array(np.bincount(gid, minlength=ng), pa.int64())
+        kind = call.name
+        args, ocols = self._args(call, i), self._order_cols(call, i)
+        s = t.select(args + ocols).append_column("__gid", pa.array(gid))
+        if ocols:
+            s = s.take(pc.sort_indices(s, sort_keys=[
+                (c, "ascending" if ob.ascending else "descending")
+                for c, ob in zip(ocols, call.order_by)]))
+        if kind != "ARRAY_AGG":
+            for a in args:
+                s = s.filter(pc.is_valid(s.column(a)))
+        if call.distinct:
+            s = s.take(_dense_group_ids(s, ["__gid"] + args)[1])
+        if kind not in HOLISTIC_AGG_NAMES:
+            plain = A.FuncCall(kind, tuple(A.ColumnRef(c) for c in args))
+            part = PreAgg([A.ColumnRef("__gid")], ["__gid"], [(plain, i)],
+                          self.env)(s.select(["__gid"] + args))
+            part = _scatter(part, part.column("__gid").to_numpy(), ng)
+            return CombinePartials([(plain, i)])(part).column(f"__r{i}")
+        if kind in self._QUANTILES:
+            s = s.take(pc.sort_indices(s, sort_keys=[
+                ("__gid", "ascending"), (args[0], "ascending")]))
+            return self._quantile(kind, s.column(args[0]),
+                                  s.column("__gid").to_numpy(), ng,
+                                  self.param[i])
+        if kind in ("MODE", "ENTROPY"):
+            c = s.select(["__gid", args[0]]).group_by(
+                ["__gid", args[0]], use_threads=False) \
+                .aggregate([([], "count_all")])
+            if kind == "MODE":
+                # most frequent value; ties go to the smallest
+                c = c.sort_by([("__gid", "ascending"),
+                               ("count_all", "descending"),
+                               (args[0], "ascending")])
+                cg = c.column("__gid").to_numpy()
+                top = np.flatnonzero(np.r_[True, cg[1:] != cg[:-1]]) \
+                    if len(cg) else cg
+                return _scatter(c.column(args[0]).take(top), cg[top], ng)
+            # Shannon entropy (log2) of the value histogram (DuckDB);
+            # a group without values → 0.0
+            cg = c.column("__gid").to_numpy()
+            n = c.column("count_all").to_numpy().astype(np.float64)
+            pr = n / np.bincount(cg, weights=n, minlength=ng)[cg]
+            return pa.array(0.0 - np.bincount(
+                cg, weights=pr * np.log2(pr), minlength=ng))
+        g, arg = s.column("__gid"), s.column(args[0])
+        if kind == "PRODUCT":
+            r = pa.table({"__gid": g, "v": pc.cast(arg, pa.float64())}) \
+                .group_by("__gid", use_threads=False) \
+                .aggregate([("v", "product")])
+            return _scatter(r.column("v_product"),
+                            r.column("__gid").to_numpy(), ng)
+        # STRING_AGG / ARRAY_AGG: each group's values in row order
+        if kind == "STRING_AGG":
+            arg = _as_text(arg)
+        r = pa.table({"__gid": g, "v": arg}) \
+            .group_by("__gid", use_threads=False).aggregate([("v", "list")])
+        vals = r.column("v_list")
+        if kind == "STRING_AGG":
+            vals = pc.binary_join(vals, self.param[i])
+        return _scatter(vals, r.column("__gid").to_numpy(), ng)
+
+    @staticmethod
+    def _quantile(kind: str, v, g: np.ndarray, ng: int, p: float):
+        """Quantiles over values sorted by (gid, value): DISC takes the
+        value at rank ceil(p·n) (DuckDB); CONT interpolates linearly, and
+        MEDIAN averages the middle pair, as numpy does."""
+        cnt = np.bincount(g, minlength=ng)
+        start = np.cumsum(cnt) - cnt
+        if not len(v):
+            return pa.nulls(ng, v.type if kind.endswith("DISC")
+                            else pa.float64())
+        last = len(v) - 1
+        if kind.endswith("DISC"):
+            r = np.maximum(np.ceil(p * cnt) - 1, 0).astype(np.int64)
+            return v.take(pa.array(np.minimum(start + r, last),
+                                   mask=cnt == 0))
+        x = pc.cast(v, pa.float64()).to_numpy(zero_copy_only=False)
+        vi = p * np.maximum(cnt - 1, 0)
+        lo = np.floor(vi).astype(np.int64)
+        hi = np.minimum(lo + 1, np.maximum(cnt - 1, 0))
+        xl = x[np.minimum(start + lo, last)]
+        xh = x[np.minimum(start + hi, last)]
+        gamma = vi - lo
+        with np.errstate(all="ignore"):
+            if kind == "MEDIAN":
+                res = np.where(gamma == 0, xl, (xl + xh) / 2)
+            else:
+                d = xh - xl
+                res = np.where(gamma >= 0.5, xh - d * (1 - gamma),
+                               xl + d * gamma)
+        return pa.array(res, pa.float64(), mask=cnt == 0)
+
+
+def _dense_group_ids(t: pa.Table, keys) -> tuple:
+    """A dense id per row for its tuple of ``keys`` values (NULLs form one
+    group; hash-based, no sort) and the first row of every group, in row
+    order. Without keys: one group, even over no rows."""
+    if not keys:
+        return np.zeros(len(t), np.int64), np.zeros(1, np.int64)
+    gid = None
+    for k in keys:
+        col = t.column(k).combine_chunks()
+        if pa.types.is_dictionary(col.type):
+            # dictionary_encode returns these as they are (NULL indices)
+            col = col.dictionary_decode()
+        enc = pc.dictionary_encode(col, null_encoding="encode")
+        codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        if gid is not None:
+            codes = pc.dictionary_encode(pa.array(
+                gid * len(enc.dictionary) + codes)).indices \
+                .to_numpy(zero_copy_only=False).astype(np.int64)
+        gid = codes
+    # ids number the groups in order of first appearance: a group's first
+    # row is the one whose id exceeds every earlier row's
+    first = np.flatnonzero(
+        gid > np.maximum.accumulate(np.r_[-1, gid])[:-1])
+    return gid, first
+
+
+def _scatter(values, g: np.ndarray, ng: int):
+    """values[j] to row g[j] of an ng-row result (array or table); rows no
+    value lands on are NULL."""
+    pos = np.full(ng, -1, np.int64)
+    pos[g] = np.arange(len(g))
+    return values.take(pa.array(pos, mask=pos < 0))
+
+
+def _as_text(v):
+    """STRING_AGG's text of a value: Arrow's cast, with floats keeping a
+    trailing '.0' as in DuckDB (1.0 → '1.0', not '1')."""
+    s = pc.cast(v, pa.string())
+    if pa.types.is_floating(v.type):
+        s = pc.if_else(pc.match_substring_regex(s, r"^-?\d+$"),
+                       pc.binary_join_element_wise(s, ".0", ""), s)
+    return s
+
+
+def _empty_table(ds: rd.Dataset, names) -> pa.Table:
+    """A zero-row table with columns ``names``, typed from ``ds``'s schema
+    when it has them (an empty result may carry a stale schema)."""
+    sch = ds.schema()
+    if sch is not None and set(names) <= set(sch.names):
+        return sch.base_schema.empty_table().select(list(names))
+    return pa.table({c: pa.nulls(0) for c in names})
 
 
 class PostAgg:
@@ -4508,8 +4592,6 @@ class Compiler:
                 if call not in agg_calls:
                     agg_calls.append(call)
         aggs = [(c, i) for i, c in enumerate(agg_calls)]
-        from .exprs import HOLISTIC_AGG_NAMES
-
         any_distinct = any(c.distinct for c in agg_calls)
         any_holistic = any(c.name in HOLISTIC_AGG_NAMES for c in agg_calls)
         for c in agg_calls:
@@ -4588,84 +4670,43 @@ class Compiler:
             raise ValueError(
                 "approximate aggregates cannot be mixed with other "
                 "aggregates in one SELECT (wrap in separate subqueries)")
-        only_count_distinct = (
-            any_distinct and len(aggs) == 1 and key_names
-            and aggs[0][0].name == "COUNT" and aggs[0][0].distinct)
         if only_approx_cd:
             out = self._compile_approx_count_distinct(
                 frame, key_exprs, key_names, aggs, env)
         elif only_approx_q:
             out = self._compile_approx_quantile(
                 frame, key_exprs, key_names, aggs, env)
-        elif only_count_distinct:
-            # scalable exact path: dedup (keys, arg) pairs first (per-batch
-            # combiner + grouped head-1), then count pairs per key — both
-            # shuffles move only DISTINCT pairs, never raw rows
-            call, i = aggs[0]
-            prep = PreAggPrep(key_exprs, key_names, aggs, env)
-            ds2 = frame.ds.map_batches(prep, batch_format="pyarrow")
-            arg = f"__a{i}"
-
-            # scalable exact COUNT DISTINCT in ONE shuffle: per-batch pair
-            # dedup (combiner) → hash-bucket by the GROUP KEY (~4×cores
-            # buckets: every pair of a key lands in one bucket group) →
-            # in-bucket exact pair dedup + per-key distinct count. No
-            # second aggregate pass — each key resolves inside its bucket.
-            ncpu = int(ray.cluster_resources().get("CPU", 8)) \
-                if ray.is_initialized() else 8
-            nb = max(32, ncpu * 4)
-            pairs = ds2.map_batches(_arrow_distinct,
-                                    batch_format="pyarrow").materialize()
-
-            def count_in_bucket(t: pa.Table, _k=tuple(key_names),
-                                _a=arg, _r=f"__r{i}") -> pa.Table:
-                return _count_distinct_pairs(t, _k, _a, _r)
-
-            if pairs.count() <= self.SMALL_PAIRS_LIMIT:
-                # the combiner left few distinct pairs — one task finishes
-                # them without paying a sort-shuffle barrier
-                out = pairs.repartition(1).map_batches(
-                    count_in_bucket, batch_format="pyarrow")
-            else:
-                deduped = pairs.map_batches(
-                    AddBucketCol(key_names, nb, "__db"),
-                    batch_format="pyarrow")
-                out = deduped.groupby("__db") \
-                    .map_groups(count_in_bucket, batch_format="pyarrow")
         elif any_distinct or any_holistic:
-            # exact path: ship key+arg columns, aggregate per group in pandas
-            prep = PreAggPrep(key_exprs, key_names, aggs, env)
-            ds2 = frame.ds.map_batches(prep, batch_format="pyarrow")
-            if key_names:
-                agg_fn = GroupAggPandas(key_names, aggs, env)
-                ncpu = int(ray.cluster_resources().get("CPU", 8)) \
-                    if ray.is_initialized() else 8
-
-                # coarse bucket shuffle (each key wholly in one bucket);
-                # exact per-key aggregation in pandas inside the group
-                def bucket_group_agg(df, _fn=agg_fn, _k=key_names):
-                    return pd.concat(
-                        [_fn(g) for _, g in
-                         df.groupby(_k, dropna=False, sort=False)],
-                        ignore_index=True)
+            # exact path: every row of a group meets in one bucket, where
+            # ExactAgg aggregates it in Arrow. When every aggregate is
+            # DISTINCT, a per-batch row dedup (combiner) first shrinks the
+            # input to distinct (keys, args) tuples.
+            ds2 = frame.ds.map_batches(
+                PreAggPrep(key_exprs, key_names, aggs, env),
+                batch_format="pyarrow")
+            if all(c.distinct for c in agg_calls):
+                ds2 = ds2.map_batches(_arrow_distinct, batch_format="pyarrow")
+            ds2 = ds2.materialize()
+            nrows = ds2.count()
+            exact = ExactAgg(key_names, aggs, env)
+            if not key_names and nrows == 0:
+                # a global aggregate is one row even over no input (Ray
+                # skips the UDF on empty blocks)
+                out = rd.from_arrow(exact(_empty_table(ds2, exact.arg_cols)))
+            elif not key_names or nrows <= self.SMALL_PAIRS_LIMIT:
+                # one task finishes a global or small input without a
+                # shuffle barrier
+                out = ds2.repartition(1).map_batches(
+                    exact, batch_format="pyarrow", batch_size=None)
+            else:
+                def exact_in_bucket(t: pa.Table, _fn=exact) -> pa.Table:
+                    return _fn(t)  # map_groups wants a named function
 
                 out = ds2.map_batches(
-                    AddBucketCol(key_names, max(32, ncpu * 4), "__db"),
+                    AddBucketCol(key_names, _shuffle_buckets(), "__db"),
                     batch_format="pyarrow") \
-                    .groupby("__db").map_groups(
-                        bucket_group_agg, batch_format="pandas")
-            else:
-                # global distinct aggregate: single synthetic group
-                ds3 = ds2.map_batches(lambda t: t.append_column(
-                    "__k", pa.array([0] * len(t))), batch_format="pyarrow")
-                agg_fn = GroupAggPandas(["__k"], aggs, env)
-
-                def group_agg_g(df, _fn=agg_fn):
-                    return _fn(df)
-
-                out = ds3.groupby("__k").map_groups(
-                    group_agg_g, batch_format="pandas")
-                out = out.map_batches(DropColumns(["__k"]), batch_format="pyarrow")
+                    .groupby("__db").map_groups(exact_in_bucket,
+                                                batch_format="pyarrow")
         else:
             ds2 = frame.ds.map_batches(
                 PreAgg(key_exprs, key_names, aggs, env), batch_format="pyarrow")
@@ -5019,24 +5060,9 @@ class Compiler:
             # shuffle moves each key wholly but map_groups dispatches ~10²
             # groups, not one call per key; exact per-key windows happen in
             # pandas inside the group
-            import ray as _ray
-
-            ncpu = int(_ray.cluster_resources().get("CPU", 8)) \
-                if _ray.is_initialized() else 8
-
-            class _AddWgrp:
-                def __init__(self, keys, n_groups, name):
-                    self.keys, self.n, self.name = keys, n_groups, name
-
-                def __call__(self, t: pa.Table) -> pa.Table:
-                    from ..cdc.engine import key_hash_partition_cols
-
-                    g = key_hash_partition_cols(
-                        [t.column(k) for k in self.keys], self.n)
-                    return t.append_column(self.name, pa.array(g))
-
-            ds = ds.map_batches(_AddWgrp(pkeys, max(32, ncpu * 4), grp_col),
-                                batch_format="pyarrow")
+            ds = ds.map_batches(
+                AddBucketCol(pkeys, _shuffle_buckets(), grp_col),
+                batch_format="pyarrow")
 
         win = _WindowGroupFn(fn.name, arg_col, okeys, odesc, out_name,
                              pkeys=pkeys, lag_offset=lag_offset,
@@ -5088,8 +5114,9 @@ class Compiler:
     # per-batch pruning are limit × #batches — tiny) instead of the
     # global range-shuffle sort
     TOPK_SINGLE_TASK_LIMIT = 10_000
-    # distinct (key, arg) pair sets below this resolve in one task instead
-    # of a bucket shuffle (pairs are narrow: key + one value column)
+    # exact-route inputs (keys + aggregate args, DISTINCT tuples after the
+    # per-batch dedup) up to this many rows resolve in one task instead of
+    # a bucket shuffle; distinct sets (_distinct) likewise
     SMALL_PAIRS_LIMIT = 2_000_000
 
     def _compile_order(self, frame: Frame, order_by, env,
@@ -5154,7 +5181,8 @@ class Compiler:
 
 
 class PreAggPrep:
-    """Distinct-agg path prep: emit key columns + raw arg columns only."""
+    """Exact-route prep (ExactAgg): emit key columns + raw arg columns
+    (and in-aggregate ORDER BY columns) only."""
 
     def __init__(self, key_exprs, key_names, aggs, env):
         self.key_exprs = key_exprs
@@ -5300,42 +5328,6 @@ def _finalize_ext_moment(kind: str, batch: pa.Table, i: int) -> pa.Array:
     return pa.array(r, type=pa.float64(), mask=np.isnan(r))
 
 
-def _ext_moment_scalar(kind: str, x: np.ndarray):
-    """One-group SKEWNESS/KURTOSIS[_POP] — same math (and math.fsum
-    exactness) as the partials path."""
-    import math
-
-    n = len(x)
-    if n == 0:
-        return None
-    t = pa.table({"__p0_cnt": pa.array([n], pa.int64()),
-                  "__p0_sum": pa.array([math.fsum(x)], pa.float64()),
-                  "__p0_sq": pa.array([math.fsum(x * x)], pa.float64()),
-                  "__p0_cu": pa.array([math.fsum(x ** 3)], pa.float64()),
-                  "__p0_qu": pa.array([math.fsum(x ** 4)], pa.float64())})
-    return _finalize_ext_moment(kind, t, 0)[0].as_py()
-
-
-def _bimoment_scalar(kind: str, y: np.ndarray, x: np.ndarray):
-    """One-group COVAR/CORR/REGR_* over pair-complete arrays (y = args[0]
-    dependent, x = args[1] independent) — same math (and math.fsum
-    exactness) as the partials path."""
-    import math
-
-    n = len(x)
-    if kind == "REGR_COUNT":
-        return n
-    if n == 0:
-        return None
-    t = pa.table({"__p0_cnt": pa.array([n], pa.int64()),
-                  "__p0_sx": pa.array([math.fsum(x)], pa.float64()),
-                  "__p0_sy": pa.array([math.fsum(y)], pa.float64()),
-                  "__p0_sxx": pa.array([math.fsum(x * x)], pa.float64()),
-                  "__p0_syy": pa.array([math.fsum(y * y)], pa.float64()),
-                  "__p0_sxy": pa.array([math.fsum(x * y)], pa.float64())})
-    return _finalize_bimoment(kind, t, 0)[0].as_py()
-
-
 def _finalize_bimoment(kind: str, batch: pa.Table, i: int) -> pa.Array:
     """COVAR/CORR/REGR_* from merged (cnt, Σx, Σy, Σx², Σy², Σxy) partials.
 
@@ -5416,27 +5408,6 @@ def _collect_window_calls(expr, out: list):
                         for w in v:
                             if isinstance(w, A.Expr):
                                 _collect_window_calls(w, out)
-
-
-def _count_distinct_pairs(t: pa.Table, keys, arg: str, out: str) -> pa.Table:
-    """COUNT(DISTINCT arg) per key over co-located (key, arg) pairs.
-    pandas nunique: drops NULL args (COUNT semantics) but keeps NULL keys
-    and all-null-arg keys (count 0) as groups."""
-    df = t.select(list(keys) + [arg]).to_pandas()
-    g = df.groupby(list(keys), dropna=False, sort=False)[arg] \
-        .nunique().reset_index()
-    arrays = {}
-    for kcol in keys:
-        arr = pa.Array.from_pandas(g[kcol])
-        want = t.schema.field(kcol).type
-        if arr.type != want:
-            try:
-                arr = arr.cast(want)
-            except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
-                pass
-        arrays[kcol] = arr
-    arrays[out] = pa.Array.from_pandas(g[arg]).cast(pa.int64())
-    return pa.table(arrays)
 
 
 def _partial_suffixes(kind: str) -> list[str]:
@@ -5578,10 +5549,6 @@ def _distinct(ds: rd.Dataset, names: Optional[list] = None) -> rd.Dataset:
     if names is None:
         sch = ds.schema()
         names = sch.names if sch is not None else []
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) \
-        if ray.is_initialized() else 8
-    nbuckets = max(32, ncpu * 4)
-
     def local_dedup(batch: pa.Table) -> pa.Table:
         return _arrow_distinct(batch)
 
@@ -5606,7 +5573,7 @@ def _distinct(ds: rd.Dataset, names: Optional[list] = None) -> rd.Dataset:
         merged = pa.concat_tables([t.cast(schema) for t in tables])
         return rd.from_arrow(_arrow_distinct(merged))
     return (combined
-            .map_batches(AddBucketCol(names, nbuckets, "__db"),
+            .map_batches(AddBucketCol(names, _shuffle_buckets(), "__db"),
                          batch_format="pyarrow")
             .groupby("__db")
             .map_groups(bucket_dedup, batch_format="pyarrow")

@@ -1729,8 +1729,9 @@ AGG_FUNC_NAMES = {"AVG", "COUNT", "MIN", "MAX", "SUM", "STDDEV", "MEAN",
                   "ANY_VALUE", "MODE", "PRODUCT", "ENTROPY"}
 
 # holistic aggregates need every value of the group co-located (no
-# mergeable fixed-size partial exists) — they route through the exact
-# per-group pandas path, like DISTINCT aggregates
+# mergeable fixed-size partial exists) — like DISTINCT aggregates they take
+# the exact route: a key-hash bucket per group, aggregated there in Arrow
+# (compiler.ExactAgg)
 HOLISTIC_AGG_NAMES = {"MEDIAN", "STRING_AGG", "ARRAY_AGG",
                       "QUANTILE_CONT", "QUANTILE_DISC",
                       "PERCENTILE_CONT", "PERCENTILE_DISC", "MODE",

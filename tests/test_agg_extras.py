@@ -10,7 +10,10 @@ batch. Edge semantics (NULL handling, n<3 / n<4, zero variance) probed
 against and matched to DuckDB.
 """
 
+import math
+
 import numpy as np
+import pytest
 
 from conftest import assert_frames_match, to_pandas
 
@@ -254,3 +257,121 @@ class TestAggAliasesProductEntropy:
         ).fetch_df()
         assert list(r.o_orderstatus) == list(o.o_orderstatus)
         assert sorted(list(r.a.iloc[0])) == sorted(list(o.a.iloc[0]))
+
+
+# k: int key with a NULL-key group and an all-NULL-argument group (k = 2);
+# o: a unique in-aggregate ORDER BY column, not in row order
+_EXACT_DATA = (
+    "(VALUES (1, 4, 1.5, 'a', 7), (1, 2, 2.5, 'b', 3), (1, 4, 1.5, 'a', 5), "
+    "(1, NULL, NULL, NULL, 12), (2, NULL, NULL, NULL, 1), "
+    "(2, NULL, NULL, NULL, 14), (NULL, 7, 0.5, 'c', 2), "
+    "(NULL, 3, 4.0, 'd', 9), (NULL, 7, 0.5, 'c', 4), (3, 5, 2.0, 'e', 11), "
+    "(3, 1, 8.0, 'f', 6), (3, 9, 0.25, 'e', 13), (3, 5, 2.0, 'g', 8), "
+    "(3, 5, -1.0, 'e', 10)) t(k, v, x, s, o)")
+
+# every HOLISTIC_AGG_NAMES kind, DISTINCT variants of algebraic kinds
+# (these reuse the PreAgg/CombinePartials partials inside a bucket), and
+# in-aggregate ORDER BY in both directions
+_EXACT_AGGS = [
+    "MEDIAN(v)",
+    "QUANTILE_CONT(x, 0.25)",
+    "QUANTILE_DISC(v, 0.5)",
+    "PERCENTILE_CONT(0.75) WITHIN GROUP (ORDER BY x)",
+    "PERCENTILE_DISC(0.25) WITHIN GROUP (ORDER BY v)",
+    "MODE(v)",
+    "PRODUCT(x)",
+    "ENTROPY(s)",
+    "STRING_AGG(s, '|' ORDER BY o)",
+    "ARRAY_AGG(v ORDER BY o DESC)",
+    "ARRAY_AGG(DISTINCT v ORDER BY v)",
+    "COUNT(DISTINCT v)",
+    "SUM(DISTINCT v)",
+    "AVG(DISTINCT x)",
+    "BIT_XOR(DISTINCT v)",
+    "ARG_MAX(DISTINCT s, v)",
+    "COVAR_POP(DISTINCT x, v)",
+]
+
+
+def _norm_cell(v):
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return tuple(_norm_cell(e) for e in v)
+    if v is None or (isinstance(v, float) and np.isnan(v)):
+        return None
+    if isinstance(v, (int, float, np.integer, np.floating)) \
+            and not isinstance(v, bool):
+        return float(v)
+    return v
+
+
+def _close(a, b):
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_close, a, b))
+    if isinstance(a, float) and isinstance(b, float):
+        return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
+    return a == b
+
+
+def _assert_rows_match(engine, duck, sql):
+    """Same rows in any order (the first column orders them: a unique
+    group key, or a global aggregate's single row)."""
+    def norm(rows):
+        rows = [tuple(_norm_cell(c) for c in r) for r in rows]
+        return sorted(rows, key=lambda r: (r[0] is None, str(r[0])))
+
+    mine = norm(to_pandas(engine.sql(sql)).itertuples(index=False))
+    oracle = norm(duck.execute(sql).fetchall())
+    assert len(mine) == len(oracle) and all(map(_close, mine, oracle)), \
+        (sql, mine, oracle)
+
+
+class TestExactAggregatesBothRoutes:
+    """The exact (ExactAgg) route, vs DuckDB: keyed and global, once with
+    the single-task finish and once through the bucket shuffle."""
+
+    @pytest.mark.parametrize("shuffle", [False, True],
+                             ids=["one_task", "bucket_shuffle"])
+    @pytest.mark.parametrize("agg", _EXACT_AGGS)
+    def test_matches_duckdb(self, engine, duck, monkeypatch, agg, shuffle):
+        from qwery_ray.sqlc.compiler import Compiler
+
+        if shuffle:
+            monkeypatch.setattr(Compiler, "SMALL_PAIRS_LIMIT", 0)
+        for sql in (f"SELECT k, {agg} AS a FROM {_EXACT_DATA} GROUP BY k",
+                    f"SELECT {agg} AS a FROM {_EXACT_DATA}"):
+            _assert_rows_match(engine, duck, sql)
+
+    def test_global_over_empty_input_is_one_row(self, engine, duck):
+        # DuckDB: a global aggregate yields one row even over no rows
+        for sel in ("MEDIAN(v) AS a, COUNT(DISTINCT v) AS b",
+                    "SUM(DISTINCT v) AS a", "COUNT(*) AS a, MEDIAN(v) AS b",
+                    "ENTROPY(s) AS a, STRING_AGG(s, ',') AS b"):
+            _assert_rows_match(
+                engine, duck, f"SELECT {sel} FROM {_EXACT_DATA} WHERE v < 0")
+
+    def test_array_agg_keeps_nulls(self, engine, duck):
+        # ANSI/DuckDB: ARRAY_AGG collects NULL elements (an all-NULL group
+        # is [NULL, NULL], not []); STRING_AGG skips them
+        for sql in (f"SELECT k, ARRAY_AGG(v ORDER BY o) AS a, "
+                    f"STRING_AGG(s, ',' ORDER BY o) AS b "
+                    f"FROM {_EXACT_DATA} GROUP BY k",
+                    f"SELECT ARRAY_AGG(v) AS a FROM {_EXACT_DATA} "
+                    f"WHERE k = 2"):
+            _assert_rows_match(engine, duck, sql)
+
+    def test_group_ids_of_dictionary_keys(self):
+        # a dictionary-typed key (e.g. a parquet column written from a
+        # pandas Categorical) groups by value, NULL included
+        import pyarrow as pa
+
+        from qwery_ray.sqlc.compiler import _dense_group_ids
+
+        keys = pa.array(["a", None, "b", "a", None]).dictionary_encode()
+        gid, first = _dense_group_ids(
+            pa.table({"k": keys, "j": [1, 1, 1, 1, 2]}), ["k"])
+        assert gid.tolist() == [0, 1, 2, 0, 1]
+        assert first.tolist() == [0, 1, 2]
+        gid, first = _dense_group_ids(
+            pa.table({"k": keys, "j": [1, 1, 1, 1, 2]}), ["k", "j"])
+        assert gid.tolist() == [0, 1, 2, 0, 3]
+        assert first.tolist() == [0, 1, 2, 4]

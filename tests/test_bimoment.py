@@ -71,8 +71,8 @@ class TestBimomentAggregates:
         run_both(engine, duck, sql, sort_by=["g"])
 
     def test_distinct_pairs(self, engine, duck):
-        # DISTINCT dedups the (y, x) PAIR before aggregating (exact
-        # GroupAggPandas path, not the partials path)
+        # DISTINCT dedups the (y, x) PAIR before aggregating (the exact
+        # in-bucket ExactAgg route, not the cross-batch partials merge)
         sql = ("SELECT g, COVAR_POP(DISTINCT y, x) AS cvp, "
                "REGR_COUNT(DISTINCT y, x) AS n FROM (VALUES "
                "('a', 1.0, 2.0), ('a', 1.0, 2.0), ('a', 3.0, 4.0), "
