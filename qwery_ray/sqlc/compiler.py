@@ -1251,9 +1251,15 @@ class ExactAgg:
         args, ocols = self._args(call, i), self._order_cols(call, i)
         s = t.select(args + ocols).append_column("__gid", pa.array(gid))
         if ocols:
-            s = s.take(pc.sort_indices(s, sort_keys=[
-                (c, "ascending" if ob.ascending else "descending")
-                for c, ob in zip(ocols, call.order_by)]))
+            # a null flag before each key places its NULLs (NULLS LAST
+            # unless NULLS FIRST, in either direction)
+            keys = []
+            for c, ob in zip(ocols, call.order_by):
+                s = s.append_column(f"{c}_nf", pc.is_null(s.column(c)))
+                keys += [(f"{c}_nf",
+                          "descending" if ob.nulls_first else "ascending"),
+                         (c, "ascending" if ob.ascending else "descending")]
+            s = s.take(pc.sort_indices(s, sort_keys=keys))
         if kind != "ARRAY_AGG":
             for a in args:
                 s = s.filter(pc.is_valid(s.column(a)))

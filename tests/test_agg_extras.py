@@ -359,6 +359,18 @@ class TestExactAggregatesBothRoutes:
                     f"WHERE k = 2"):
             _assert_rows_match(engine, duck, sql)
 
+    def test_order_by_nulls_first(self, engine, duck):
+        # an in-aggregate ORDER BY ... NULLS FIRST puts the NULL sort keys
+        # first, in either direction (the default is NULLS LAST)
+        data = ("(VALUES (1, 'a', 1), (1, 'b', NULL), (1, 'c', 2), "
+                "(2, 'd', NULL), (2, 'e', 5)) t(k, s, o)")
+        for ob in ("o NULLS FIRST", "o DESC NULLS FIRST", "o DESC",
+                   "o NULLS LAST"):
+            _assert_rows_match(
+                engine, duck,
+                f"SELECT k, STRING_AGG(s, ',' ORDER BY {ob}) AS a, "
+                f"ARRAY_AGG(s ORDER BY {ob}) AS b FROM {data} GROUP BY k")
+
     def test_group_ids_of_dictionary_keys(self):
         # a dictionary-typed key (e.g. a parquet column written from a
         # pandas Categorical) groups by value, NULL included
