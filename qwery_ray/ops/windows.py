@@ -21,10 +21,6 @@ import pyarrow.compute as pc
 import ray.data as rd
 from ray.data.aggregate import Sum
 
-# inputs/partials at or below this row count skip the shuffle barrier and
-# finish in one task (mirrors the SQL compiler's adaptive aggregate path)
-SMALL_INPUT_LIMIT = 2_000_000
-
 
 class SlidingWindowPartial:
     """Per-batch combiner: event → its W/S window ids → partial
@@ -88,7 +84,7 @@ def session_window_agg(ds: rd.Dataset, *, key_col: str = "user_id",
     Emits (key, session_start_sec, session_end_sec, n_events)."""
     import pandas as pd
 
-    from ..sqlc.compiler import AddBucketCol, _shuffle_buckets
+    from ..sqlc.compiler import AddBucketCol, Compiler, _shuffle_buckets
 
     def to_secs(t: pa.Table) -> pa.Table:
         secs = np.floor_divide(
@@ -112,7 +108,7 @@ def session_window_agg(ds: rd.Dataset, *, key_col: str = "user_id",
         return out.reset_index(drop=True).astype({"n_events": "int64"})
 
     secs = ds.map_batches(to_secs, batch_format="pyarrow").materialize()
-    if secs.count() <= SMALL_INPUT_LIMIT:
+    if secs.count() <= Compiler.SMALL_PARTIALS_LIMIT:
         # small input: sessionize everything in one task — skips the
         # bucket shuffle barrier (sessionize sorts by key anyway)
         return secs.repartition(1).map_batches(
@@ -128,10 +124,12 @@ def sliding_window_agg(ds: rd.Dataset, *, ts_col: str = "ts",
                        value_col: str = "value", width_sec: int = 3600,
                        slide_sec: int = 3600) -> rd.Dataset:
     """Per-window (count, exact value sum): combiner → tiny Sum merge."""
+    from ..sqlc.compiler import Compiler
+
     partial = ds.map_batches(
         SlidingWindowPartial(ts_col, value_col, width_sec, slide_sec),
         batch_format="pyarrow").materialize()
-    if partial.count() <= SMALL_INPUT_LIMIT:
+    if partial.count() <= Compiler.SMALL_PARTIALS_LIMIT:
         # integer partials (counts + cent sums): one arrow group_by task
         # merges them exactly, no shuffle barrier
         def merge_small(t: pa.Table) -> pa.Table:

@@ -2,10 +2,11 @@
 
 Each SQL statement compiles to a lazy chain of Dataset transformations:
 filter/project → ``map_batches(batch_format="pyarrow")`` with vectorized
-kernels; GROUP BY → per-batch partial aggregation (combiner) followed by a
-small ``groupby().aggregate()`` shuffle; ORDER BY → ``ds.sort``; joins →
-broadcast hash join for small right sides (``ray.put`` once) or Ray's
-hash-partitioned ``Dataset.join`` for large-large.
+kernels; GROUP BY → per-batch partial aggregation (combiner) followed by
+one exchange that merges each group's partials with the same kernel, in
+one task for small inputs or per key-hash bucket; ORDER BY → ``ds.sort``;
+joins → broadcast hash join for small right sides (``ray.put`` once) or
+Ray's hash-partitioned ``Dataset.join`` for large-large.
 
 Reference semantics source: core/ops/sql/Select.scala:15-92 (evaluation
 order), Join.scala:10-37 (INNER nested-loop — re-expressed as hash join),
@@ -16,6 +17,7 @@ after aggregation, multi-key GROUP BY.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Any, Optional
@@ -26,11 +28,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data as rd
-from ray.data.aggregate import AggregateFn, Max, Min, Sum
 
 from . import ast as A
-from .exprs import (HOLISTIC_AGG_NAMES, Evaluator, collect_agg_calls,
-                    collect_column_refs)
+from .exprs import (HOLISTIC_AGG_NAMES, Evaluator, as_text, collect_agg_calls,
+                    collect_column_refs, try_cast)
 from .rewrite import substitute_nodes, transform_expr
 
 BROADCAST_ROW_LIMIT = 500_000  # right sides below this are ray.put-broadcast
@@ -747,435 +748,233 @@ def _empty_cross(left: pa.Table, right: pa.Table) -> pa.Table:
 
 
 class PreAgg:
-    """Per-batch partial aggregation (combiner): shrinks the groupby shuffle
+    """Per-batch partial aggregation (combiner): shrinks the merge input
     from |rows| to |distinct keys per batch| — the scale-critical step
-    (SURVEY.md §4 skew row). Emits key columns + partial columns."""
+    (SURVEY.md §4 skew row). Every row first becomes a partial of its own
+    (x, its validity count, x², x³, x⁴, pair-masked products, int64 bits, …)
+    and MergePartialsTask reduces them per group: the same kernel that
+    later merges the partials of all batches. Emits key columns + partial
+    columns."""
 
     def __init__(self, key_exprs, key_names, aggs, env):
         self.key_exprs = key_exprs
         self.key_names = key_names
         self.aggs = aggs  # list[(FuncCall, idx)]
         self.env = env
+        self.merge = MergePartialsTask(key_names, aggs)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ev = make_evaluator(self.env)
         n = len(batch)
-        data: dict[str, Any] = {}
-        key_types: dict[str, pa.DataType] = {}
-        for expr, name in zip(self.key_exprs, self.key_names):
+
+        def column(expr):
             val = ev.eval(expr, batch)
             if not isinstance(val, (pa.Array, pa.ChunkedArray)):
                 val = pa.array([val] * n)
-            data[name] = val
-            key_types[name] = val.type
-        arg_cols: dict[int, str] = {}
-        arg_types: dict[int, pa.DataType] = {}
-        arg2_types: dict[int, pa.DataType] = {}
+            if isinstance(val, pa.ChunkedArray):
+                val = val.combine_chunks()
+            if pa.types.is_dictionary(val.type):
+                val = val.dictionary_decode()
+            return val
+
+        rows = {name: column(expr)
+                for expr, name in zip(self.key_exprs, self.key_names)}
+        rows["__pcnt_star"] = pa.array(np.ones(n, np.int64))
         for call, i in self.aggs:
-            if call.is_star:
-                continue
-            cname = f"__a{i}"
-            val = ev.eval(call.args[0], batch)
-            if not isinstance(val, (pa.Array, pa.ChunkedArray)):
-                val = pa.array([val] * n)
-            # partial-friendly physical types: BOOL_* reduce as int8 min/max,
-            # BIT_* reduce exactly as int64 (float64 would be lossy > 2^53)
-            if call.name in BOOL_AGGS:
-                val = pc.cast(val, pa.int8())
-            elif call.name in BITWISE_AGGS:
-                val = pc.cast(val, pa.int64())
-            data[cname] = val
-            arg_cols[i] = cname
-            arg_types[i] = val.type
-            if call.name in TWO_ARG_AGGS:
-                v2 = ev.eval(call.args[1], batch)
-                if not isinstance(v2, (pa.Array, pa.ChunkedArray)):
-                    v2 = pa.array([v2] * n)
-                data[f"{cname}b"] = v2
-                arg2_types[i] = v2.type
-        if n == 0:
-            # empty batch: emit an empty, correctly-typed partials table
-            # (the pandas groupby round-trip loses index names on empty input)
-            cols = {name: pa.array([], type=t) for name, t in key_types.items()}
-            cols["__pcnt_star"] = pa.array([], type=pa.int64())
-            for call, i in self.aggs:
-                if call.is_star:
-                    continue
-                for suf in _partial_suffixes(call.name):
-                    if suf in ("cnt",):
-                        t = pa.int64()
-                    elif suf in ("sq", "sx", "sy", "sxx", "syy", "sxy",
-                                 "cu", "qu"):
-                        t = pa.float64()
-                    elif suf == "bit":
-                        t = pa.int64()
-                    elif suf == "ak":
-                        t = arg2_types[i]
-                    elif suf == "sum":
-                        t = pa.float64() if call.name in (
-                            MOMENT_AGGS + EXT_MOMENT_AGGS) \
-                            else _sum_type(arg_types[i])
-                    else:  # min / max / av / any keep the arg type
-                        t = arg_types[i]
-                    cols[f"__p{i}_{suf}"] = pa.array([], type=t)
-            return pa.table(cols)
-        df = pa.table(data).to_pandas(types_mapper=None) if data else pd.DataFrame(index=range(n))
-        # two-arg (co)moment aggs: pair-complete masked product columns.
-        # ANSI argument order is fn(y, x): args[0] is the DEPENDENT y,
-        # args[1] the independent x — sx/sxx always hold x's moments.
-        for call, i in self.aggs:
-            if call.is_star or call.name not in BIMOMENT_AGGS:
-                continue
-            y = pd.to_numeric(df[f"__a{i}"], errors="coerce").astype(float)
-            x = pd.to_numeric(df[f"__a{i}b"], errors="coerce").astype(float)
-            m = x.notna() & y.notna()
-            x, y = x.where(m), y.where(m)
-            df[f"__b{i}_sx"] = x
-            df[f"__b{i}_sy"] = y
-            df[f"__b{i}_sxx"] = x * x
-            df[f"__b{i}_syy"] = y * y
-            df[f"__b{i}_sxy"] = x * y
-        if not self.key_names:
-            df["__k"] = 0
-            group_keys = ["__k"]
-        else:
-            group_keys = self.key_names
-        gb = df.groupby(group_keys, dropna=False, sort=False)
-        out = pd.DataFrame()
-        partial_types: dict[str, pa.DataType] = {}
-        out["__pcnt_star"] = gb.size()
-        partial_types["__pcnt_star"] = pa.int64()
-        for call, i in self.aggs:
-            kind = call.name
-            if call.is_star:
-                continue
-            col = gb[arg_cols[i]]
-            at = arg_types[i]
-            if kind in BIMOMENT_AGGS:
-                out[f"__p{i}_cnt"] = gb[f"__b{i}_sx"].count()
-                partial_types[f"__p{i}_cnt"] = pa.int64()
-                for suf in ("sx", "sy", "sxx", "syy", "sxy"):
-                    out[f"__p{i}_{suf}"] = gb[f"__b{i}_{suf}"].sum(min_count=1)
-                    partial_types[f"__p{i}_{suf}"] = pa.float64()
-                continue
-            if kind in ARG_EXT_AGGS:
-                # pair-complete rows, stable sort by key, extremal position
-                # per group — one pandas sort handles ANY orderable key type
-                g = gb.ngroup().to_numpy()
-                ngroups = int(g.max()) + 1
-                kser = df[f"{arg_cols[i]}b"]
-                m = kser.notna().to_numpy() & df[arg_cols[i]].notna().to_numpy()
-                d2 = pd.DataFrame({"g": g[m], "k": kser.to_numpy()[m],
-                                   "p": np.arange(n)[m]})
-                sel = d2.sort_values("k", kind="stable").groupby("g")["p"]
-                sel = sel.last() if _argext_ismax(kind) else sel.first()
-                full = np.full(ngroups, -1, dtype=np.int64)
-                full[sel.index.to_numpy(dtype=np.int64)] = \
-                    sel.to_numpy(dtype=np.int64)
-                idx = pa.array(np.maximum(full, 0), type=pa.int64(),
-                               mask=full < 0)
-                out[f"__p{i}_av"] = \
-                    pc.take(data[arg_cols[i]], idx).to_pandas().to_numpy()
-                out[f"__p{i}_ak"] = \
-                    pc.take(data[f"{arg_cols[i]}b"], idx).to_pandas().to_numpy()
-                partial_types[f"__p{i}_av"] = at
-                partial_types[f"__p{i}_ak"] = arg2_types[i]
-                continue
-            if kind in BITWISE_AGGS:
-                # exact int64 bitwise reduce (numpy reduceat; identity-filled
-                # nulls; all-null group → NULL) — float round-trips would be
-                # lossy beyond 2^53
-                g = gb.ngroup().to_numpy()
-                arr = data[arg_cols[i]]
-                if isinstance(arr, pa.ChunkedArray):
-                    arr = arr.combine_chunks()
-                valid = pc.is_valid(arr).to_numpy(zero_copy_only=False)
-                vals = pc.fill_null(arr, _BIT_IDENTITY[kind]) \
-                    .to_numpy(zero_copy_only=False).astype(np.int64)
-                order = np.argsort(g, kind="stable")
-                gs, vs, vd = g[order], vals[order], valid[order]
-                starts = np.flatnonzero(np.r_[True, gs[1:] != gs[:-1]])
-                red = _BIT_UFUNC[kind].reduceat(vs, starts)
-                cnt = np.add.reduceat(vd.astype(np.int64), starts)
-                obj = red.astype(object)
-                obj[cnt == 0] = None
-                out[f"__p{i}_bit"] = obj
-                partial_types[f"__p{i}_bit"] = pa.int64()
-                continue
-            if kind == "ANY_VALUE":
-                out[f"__p{i}_any"] = col.first()
-                partial_types[f"__p{i}_any"] = at
-                continue
-            if kind in ("SUM", "AVG", "MEAN") or kind in MOMENT_AGGS \
-                    or kind in EXT_MOMENT_AGGS:
-                out[f"__p{i}_sum"] = col.sum(min_count=1)
-                partial_types[f"__p{i}_sum"] = pa.float64() if kind in (
-                    MOMENT_AGGS + EXT_MOMENT_AGGS) else _sum_type(at)
-            if kind in ("AVG", "MEAN", "COUNT") or kind in MOMENT_AGGS \
-                    or kind in EXT_MOMENT_AGGS:
-                out[f"__p{i}_cnt"] = col.count()
-                partial_types[f"__p{i}_cnt"] = pa.int64()
-            if kind in MOMENT_AGGS or kind in EXT_MOMENT_AGGS:
-                out[f"__p{i}_sq"] = gb[arg_cols[i]].agg(
-                    lambda s: (s.astype(float) ** 2).sum(min_count=1))
-                partial_types[f"__p{i}_sq"] = pa.float64()
-            if kind in EXT_MOMENT_AGGS:
-                out[f"__p{i}_cu"] = gb[arg_cols[i]].agg(
-                    lambda s: (s.astype(float) ** 3).sum(min_count=1))
-                out[f"__p{i}_qu"] = gb[arg_cols[i]].agg(
-                    lambda s: (s.astype(float) ** 4).sum(min_count=1))
-                partial_types[f"__p{i}_cu"] = pa.float64()
-                partial_types[f"__p{i}_qu"] = pa.float64()
-            if kind == "MIN" or kind == "BOOL_AND":
-                out[f"__p{i}_min"] = col.min()
-                partial_types[f"__p{i}_min"] = at
-            if kind == "MAX" or kind == "BOOL_OR":
-                out[f"__p{i}_max"] = col.max()
-                partial_types[f"__p{i}_max"] = at
-        out = out.reset_index()
-        if not self.key_names:
-            out = out.drop(columns=["__k"])
-        # build an explicitly-typed arrow table so every batch has one schema
-        arrays = {}
-        for name in out.columns:
-            target = key_types.get(name) or partial_types.get(name)
-            arr = pa.Array.from_pandas(out[name])
-            if target is not None and arr.type != target:
-                try:
-                    arr = arr.cast(target)
-                except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
-                    pass
-            arrays[name] = arr
-        return pa.table(arrays)
+            if not call.is_star:
+                rows.update(_row_partials(
+                    call, i, column(call.args[0]),
+                    column(call.args[1]) if call.name in TWO_ARG_AGGS
+                    else None))
+        return self.merge(pa.table(rows))
 
 
-class FSum(AggregateFn):
-    """Order-independent exact sum of per-batch partials.
-
-    Accumulates the partial values into a list and finalizes with
-    ``math.fsum`` (exactly-rounded ⇒ the result is independent of the order
-    Ray merges the shuffled partials in, so SUM/AVG are bit-deterministic at
-    any parallelism). Integer partials use arbitrary-precision ``sum`` and
-    keep their integer type. The list only holds one partial per upstream
-    batch per group — O(#batches), never O(#rows)."""
-
-    def __init__(self, on: str, alias_name: str):
-        import math
-
-        def _acc_block(a: list, block) -> list:
-            col = block[on]
-            vals = col.to_pylist() if hasattr(col, "to_pylist") else list(col)
-            return a + [v for v in vals if v is not None and v == v]
-
-        super().__init__(
-            init=lambda k: [],
-            merge=lambda a, b: a + b,
-            accumulate_block=_acc_block,
-            finalize=lambda a: (
-                None if not a else
-                sum(a) if all(isinstance(v, int) for v in a) else
-                math.fsum(a)),
-            name=alias_name,
-        )
-
-
-class BitReduce(AggregateFn):
-    """Order-independent exact bitwise AND/OR/XOR merge of int64 partials
-    (python-int accumulation — exact at any magnitude)."""
-
-    def __init__(self, kind: str, on: str, alias_name: str):
-        import functools
-        import operator
-
-        op = {"BIT_AND": operator.and_, "BIT_OR": operator.or_,
-              "BIT_XOR": operator.xor}[kind]
-
-        def _acc_block(a: list, block) -> list:
-            col = block[on]
-            vals = col.to_pylist() if hasattr(col, "to_pylist") else list(col)
-            return a + [int(v) for v in vals if v is not None]
-
-        super().__init__(
-            init=lambda k: [],
-            merge=lambda a, b: a + b,
-            accumulate_block=_acc_block,
-            finalize=lambda a: (functools.reduce(op, a) if a else None),
-            name=alias_name,
-        )
-        self.merge_kind = {"BIT_AND": "band", "BIT_OR": "bor",
-                           "BIT_XOR": "bxor"}[kind]
+def _row_partials(call, i: int, x: pa.Array, y) -> dict:
+    """One row's partials of aggregate ``call`` (argument x, second
+    argument y), named ``__p{i}_{suffix}`` as in _partial_suffixes."""
+    kind, p = call.name, f"__p{i}_"
+    if kind in BIMOMENT_AGGS:
+        # pair-complete rows only. ANSI argument order is fn(y, x): args[0]
+        # is the DEPENDENT y, args[1] the independent x — sx/sxx always
+        # hold x's moments
+        fy, fx = try_cast(x, pa.float64()), try_cast(y, pa.float64())
+        pair = pc.and_(pc.is_valid(fx), pc.is_valid(fy))
+        fx = pc.if_else(pair, fx, None)
+        fy = pc.if_else(pair, fy, None)
+        return {p + "cnt": pc.cast(pair, pa.int64()), p + "sx": fx,
+                p + "sy": fy, p + "sxx": pc.multiply(fx, fx),
+                p + "syy": pc.multiply(fy, fy), p + "sxy": pc.multiply(fx, fy)}
+    if kind in ARG_EXT_AGGS:
+        # a row with either argument NULL is ignored: its key is masked,
+        # and the merge only picks rows with a key
+        return {p + "av": x, p + "ak": pc.if_else(pc.is_valid(x), y, None)}
+    if kind in BITWISE_AGGS:
+        # exact int64 (float64 would be lossy beyond 2^53)
+        return {p + "bit": pc.cast(x, pa.int64())}
+    if kind in BOOL_AGGS:
+        return {p + ("min" if kind == "BOOL_AND" else "max"):
+                pc.cast(x, pa.int8())}
+    if kind in ("MIN", "MAX", "ANY_VALUE"):
+        return {p + _partial_suffixes(kind)[0]: x}
+    sufs = _partial_suffixes(kind)
+    out = {p + "cnt": pc.cast(pc.is_valid(x), pa.int64())} \
+        if "cnt" in sufs else {}
+    if "sum" in sufs:  # moments (sq, …) sum in float64
+        x = pc.cast(x, pa.float64() if "sq" in sufs else _sum_type(x.type))
+        out[p + "sum"] = x
+    for suf, e in (("sq", 2.0), ("cu", 3.0), ("qu", 4.0)):
+        if suf in sufs:
+            out[p + suf] = pc.power(x, e)
+    return out
 
 
-class AnyValueAgg(AggregateFn):
-    """First non-null partial (ANY_VALUE merge)."""
-
-    def __init__(self, on: str, alias_name: str):
-        def _acc_block(a: list, block) -> list:
-            if a:
-                return a
-            col = block[on]
-            vals = col.to_pylist() if hasattr(col, "to_pylist") else list(col)
-            for v in vals:
-                if v is not None:
-                    return [v]
-            return a
-
-        super().__init__(
-            init=lambda k: [],
-            merge=lambda a, b: a if a else b,
-            accumulate_block=_acc_block,
-            finalize=lambda a: a[0] if a else None,
-            name=alias_name,
-        )
-        self.merge_kind = "any"
+_SUMMED = ("cnt", "sum", "sq", "cu", "qu", "sx", "sy", "sxx", "syy", "sxy")
 
 
-class ArgExtAgg(AggregateFn):
-    """ARG_MAX / ARG_MIN merge: keep the (key, value) pair with the extremal
-    key across partials (one pair per upstream batch per group)."""
-
-    def __init__(self, ismax: bool, val_col: str, key_col: str,
-                 alias_name: str):
-        def _acc_block(a: list, block) -> list:
-            kc, vc = block[key_col], block[val_col]
-            ks = kc.to_pylist() if hasattr(kc, "to_pylist") else list(kc)
-            vs = vc.to_pylist() if hasattr(vc, "to_pylist") else list(vc)
-            return a + [(k, v) for k, v in zip(ks, vs) if k is not None]
-
-        pick = max if ismax else min
-
-        super().__init__(
-            init=lambda k: [],
-            merge=lambda a, b: a + b,
-            accumulate_block=_acc_block,
-            finalize=lambda a: (
-                pick(a, key=lambda kv: kv[0])[1] if a else None),
-            name=alias_name,
-        )
-        self.merge_kind = ("argmax:" if ismax else "argmin:") + key_col
-        self.key_col = key_col
+def _merge_plan(aggs) -> list:
+    """(partial column, merge) for every partial of ``aggs``, derived from
+    _partial_suffixes: counts and sums add, min/max pick, BIT_* fold,
+    ANY_VALUE keeps the first non-NULL, and ARG_MAX/ARG_MIN (av value, ak
+    key) keep the row of the extremal key."""
+    plan = [("__pcnt_star", "sum")]
+    for call, i in aggs:
+        if call.is_star:
+            continue
+        for suf in _partial_suffixes(call.name):
+            if suf in _SUMMED:
+                how = "sum"
+            elif suf in ("av", "ak"):
+                how = "argmax" if _argext_ismax(call.name) else "argmin"
+            elif suf == "bit":
+                how = call.name
+            else:
+                how = suf  # min / max / any
+            plan.append((f"__p{i}_{suf}", how))
+    return plan
 
 
 class MergePartialsTask:
-    """Single-task finish for a SMALL set of pre-aggregated partials.
+    """The one partial-merge kernel of GROUP BY: reduces partial rows to
+    one row per group of ``keys`` (all NULL keys form one group; without
+    keys the input is one group, even when empty).
 
-    Ray's sort-based groupby shuffle costs ~1-2 s of fixed barrier time
-    even when the map-side combiner left only a few thousand partial rows
-    — for small partial sets one sort + segmented reduce in ONE task
-    replaces the whole exchange. Semantics mirror the AggregateFn path
-    exactly: FSum columns finalize with math.fsum (exactly-rounded ⇒
-    bit-identical to any merge order), integer sums stay exact integers,
-    all-null groups yield null. Guarded by SMALL_PARTIALS_LIMIT upstream,
-    so the single task is bounded."""
+    PreAgg runs it over per-row partials of one batch; the exchange runs it
+    over the partials of all batches, in one task or per key-hash bucket.
+    Integer sums and counts stay exact integers; float sums are
+    exactly rounded (math.fsum), so a result does not depend on the order
+    the partials arrive in. A group whose partials are all NULL is NULL."""
 
-    def __init__(self, keys: list, spec: list):
-        self.keys = keys          # null-safe-encoded key column names
-        self.spec = spec          # [(column, 'fsum'|'sum'|'min'|'max')]
+    def __init__(self, keys: list, aggs):
+        self.keys = list(keys)
+        self.plan = _merge_plan(aggs)
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        import math
-
-        want = self.keys + [name for name, _ in self.spec]
-        if len(t) == 0:
-            return t.select([c for c in want if c in t.column_names])
-        t = t.sort_by([(k, "ascending") for k in self.keys])
-        n = len(t)
-        change = np.zeros(n, dtype=bool)
-        change[0] = True
-        for k in self.keys:
-            col = t.column(k).combine_chunks()
-            neq = pc.not_equal(col.slice(1), col.slice(0, n - 1))
-            change[1:] |= pc.fill_null(neq, True).to_numpy(
-                zero_copy_only=False)
-        starts = np.flatnonzero(change)
-        counts = np.diff(np.append(starts, n))
-        gidx = pa.array(starts, type=pa.int64())
-        out = {k: t.column(k).take(gidx) for k in self.keys}
-        for name, kind in self.spec:
+        gid, first = _dense_group_ids(t, self.keys)
+        ng = len(first)
+        out = {k: t.column(k).take(first) for k in self.keys}
+        arrow, picks, order = [], {}, None
+        for name, how in self.plan:
             col = t.column(name).combine_chunks()
-            valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
-            vcnt = np.add.reduceat(valid.astype(np.int64), starts)
-            none_mask = vcnt == 0
-            typ = col.type
-            if kind in ("sum", "fsum") and pa.types.is_integer(typ):
-                vals = col.fill_null(0).to_numpy(zero_copy_only=False) \
-                    .astype(np.int64)
-                out[name] = pa.array(np.add.reduceat(vals, starts),
-                                     type=pa.int64(), mask=none_mask)
-            elif kind == "fsum":
-                vals = col.to_numpy(zero_copy_only=False).astype(np.float64)
-                res = np.where(valid[starts], vals[starts], np.nan)
-                for gi in np.flatnonzero((counts > 1) | ~valid[starts]):
-                    seg = vals[starts[gi]:starts[gi] + counts[gi]]
-                    seg = seg[valid[starts[gi]:starts[gi] + counts[gi]]]
-                    res[gi] = math.fsum(seg) if len(seg) else np.nan
-                out[name] = pa.array(res, type=pa.float64(), mask=none_mask)
-            elif kind == "sum":
-                vals = np.nan_to_num(
-                    col.to_numpy(zero_copy_only=False).astype(np.float64))
-                vals[~valid] = 0.0
-                out[name] = pa.array(np.add.reduceat(vals, starts),
-                                     mask=none_mask)
-            elif kind in ("band", "bor", "bxor"):
-                ident = {"band": -1, "bor": 0, "bxor": 0}[kind]
-                uf = {"band": np.bitwise_and, "bor": np.bitwise_or,
-                      "bxor": np.bitwise_xor}[kind]
-                vals = pc.fill_null(col, ident).to_numpy(
-                    zero_copy_only=False).astype(np.int64)
-                out[name] = pa.array(uf.reduceat(vals, starts),
-                                     type=pa.int64(), mask=none_mask)
-            elif kind == "any":
-                pos = np.arange(n, dtype=np.int64)
-                pos[~valid] = n
-                first = np.minimum.reduceat(pos, starts)
-                idx = pa.array(np.minimum(first, n - 1), type=pa.int64(),
-                               mask=first == n)
-                out[name] = col.take(idx)
-            elif kind.startswith(("argmax:", "argmin:")):
-                kcol = t.column(kind.split(":", 1)[1]).combine_chunks()
-                kvalid = pc.is_valid(kcol).to_numpy(zero_copy_only=False)
-                gid = np.repeat(np.arange(len(starts)), counts)
-                d2 = pd.DataFrame(
-                    {"g": gid[kvalid],
-                     "k": kcol.to_pandas().to_numpy()[kvalid],
-                     "p": np.flatnonzero(kvalid)})
-                sel = d2.sort_values("k", kind="stable").groupby("g")["p"]
-                sel = sel.last() if kind.startswith("argmax") else sel.first()
-                full = np.full(len(starts), -1, dtype=np.int64)
-                full[sel.index.to_numpy(dtype=np.int64)] = \
-                    sel.to_numpy(dtype=np.int64)
-                idx = pa.array(np.maximum(full, 0), type=pa.int64(),
-                               mask=full < 0)
-                out[name] = col.take(idx)
-            elif kind in ("min", "max") and (
-                    pa.types.is_integer(typ) or pa.types.is_floating(typ)
-                    or pa.types.is_temporal(typ)):
-                raw = col.to_numpy(zero_copy_only=False)
-                if pa.types.is_temporal(typ):
-                    raw = raw.view("i8")
-                    lim = np.iinfo(np.int64)
-                    fill = lim.max if kind == "min" else lim.min
-                else:
-                    raw = raw.astype(np.float64)
-                    fill = np.inf if kind == "min" else -np.inf
-                raw = raw.copy()
-                raw[~valid] = fill
-                red = (np.minimum if kind == "min"
-                       else np.maximum).reduceat(raw, starts)
-                if pa.types.is_temporal(typ):
-                    out[name] = pa.array(red, type=pa.int64(),
-                                         mask=none_mask).cast(typ)
-                else:
-                    arr = pa.array(red, mask=none_mask)
-                    out[name] = arr.cast(typ) if pa.types.is_integer(typ) \
-                        else arr
-            else:  # min/max over strings & friends: pandas C path
-                gid = np.repeat(np.arange(len(starts)), counts)
-                s = pd.Series(col.to_pandas().values).groupby(gid)
-                red = (s.min() if kind == "min" else s.max())
-                red[pd.Series(none_mask)] = None
-                out[name] = pa.array(red.to_numpy(), type=typ)
-        return pa.table(out)
+            if pa.types.is_null(col.type):
+                # an all-NULL argument, or a global aggregate over no input:
+                # counts and bits stay int64, sums float64
+                out[name] = pa.nulls(ng, pa.int64() if name.endswith(
+                    ("_cnt", "_star", "_bit")) else pa.float64()
+                    if how == "sum" else col.type)
+            elif how in ("min", "max") or (
+                    how == "sum" and pa.types.is_integer(col.type)):
+                arrow.append((name, how))
+            elif how == "sum":
+                if order is None:
+                    order = _group_order(gid, ng)
+                out[name] = _fsum_groups(col, gid, ng, order)
+            elif how in BITWISE_AGGS:
+                out[name] = _bits_groups(col, gid, ng, how)
+            else:  # any / argmax / argmin: take the row each group picks
+                by = name if how == "any" else name[:-2] + "ak"
+                if (by, how) not in picks:
+                    picks[by, how] = _pick_rows(
+                        t.column(by).combine_chunks(), gid, ng, how)
+                out[name] = col.take(picks[by, how])
+        if arrow:
+            r = t.select([name for name, _ in arrow]) \
+                .append_column("__g", pa.array(gid)) \
+                .group_by("__g", use_threads=False) \
+                .aggregate([(name, how) for name, how in arrow])
+            r = _scatter(r, r.column("__g").to_numpy(), ng)
+            for name, how in arrow:
+                out[name] = r.column(f"{name}_{how}")
+        return pa.table({c: out[c] for c in self.keys + [
+            name for name, _ in self.plan]})
+
+
+def _group_order(gid: np.ndarray, ng: int) -> np.ndarray:
+    """The rows sorted by group id, stable (numpy sorts 16-bit keys by
+    radix)."""
+    return np.argsort(gid.astype(np.uint16) if ng <= 1 << 16 else gid,
+                      kind="stable")
+
+
+def _fsum_groups(col: pa.Array, gid: np.ndarray, ng: int,
+                 order: np.ndarray) -> pa.Array:
+    """Exactly-rounded float sum of each group's valid values (``order``:
+    the rows sorted by group)."""
+    valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
+    x = pc.cast(col, pa.float64()).to_numpy(zero_copy_only=False)
+    cnt = np.bincount(gid[valid], minlength=ng)
+    # one IEEE addition is exactly rounded: bincount's 0 + a + b is exact
+    # for groups of up to two values; longer groups go through fsum
+    res = np.bincount(gid[valid], weights=x[valid], minlength=ng)
+    many = np.flatnonzero(cnt > 2)
+    if len(many):
+        xs = x[order[valid[order]]].tolist()
+        ends = np.cumsum(cnt)
+        starts = (ends - cnt)[many].tolist()
+        ends = ends[many].tolist()
+        try:
+            res[many] = [math.fsum(xs[a:b]) for a, b in zip(starts, ends)]
+        except (OverflowError, ValueError):  # inf − inf, or an overflow
+            res[many] = [sum(xs[a:b]) for a, b in zip(starts, ends)]
+    return pa.array(res, pa.float64(), mask=cnt == 0)
+
+
+def _bits_groups(col: pa.Array, gid: np.ndarray, ng: int,
+                 kind: str) -> pa.Array:
+    """Exact int64 BIT_AND/OR/XOR of each group's valid values."""
+    ident = _BIT_IDENTITY[kind]
+    res = np.full(ng, ident, np.int64)
+    _BIT_UFUNC[kind].at(res, gid, pc.fill_null(col, ident).to_numpy(
+        zero_copy_only=False).astype(np.int64))
+    cnt = np.bincount(gid, weights=pc.is_valid(col).to_numpy(
+        zero_copy_only=False), minlength=ng)
+    return pa.array(res, pa.int64(), mask=cnt == 0)
+
+
+def _pick_rows(by: pa.Array, gid: np.ndarray, ng: int, how: str) -> pa.Array:
+    """The row each group keeps (NULL for a group without a valid ``by``):
+    the first valid row ("any"), or the row of the largest ("argmax") or
+    smallest ("argmin") value of ``by``. Among equal values argmax keeps
+    the last row and argmin the first."""
+    n = len(by)
+    if pa.types.is_null(by.type):
+        return pa.nulls(ng, pa.int64())
+    valid = pc.is_valid(by).to_numpy(zero_copy_only=False)
+    if how == "any":
+        rank = np.arange(1, n + 1)
+    else:
+        # ranks are unique: ties rank in row order
+        rank = pc.rank(by, tiebreaker="first").to_numpy().astype(np.int64)
+    rows = np.zeros(n + 2, np.int64)
+    rows[rank] = np.arange(n)
+    if how == "argmax":
+        best = np.zeros(ng, np.int64)
+        np.maximum.at(best, gid, np.where(valid, rank, 0))
+        none = best == 0
+    else:
+        best = np.full(ng, n + 1, np.int64)
+        np.minimum.at(best, gid, np.where(valid, rank, n + 1))
+        none = best == n + 1
+    return pa.array(rows[best], pa.int64(), mask=none)
 
 
 def _sum_type(t: pa.DataType) -> pa.DataType:
@@ -1306,7 +1105,7 @@ class ExactAgg:
                             r.column("__gid").to_numpy(), ng)
         # STRING_AGG / ARRAY_AGG: each group's values in row order
         if kind == "STRING_AGG":
-            arg = _as_text(arg)
+            arg = as_text(arg)
         r = pa.table({"__gid": g, "v": arg}) \
             .group_by("__gid", use_threads=False).aggregate([("v", "list")])
         vals = r.column("v_list")
@@ -1380,14 +1179,26 @@ def _scatter(values, g: np.ndarray, ng: int):
     return values.take(pa.array(pos, mask=pos < 0))
 
 
-def _as_text(v):
-    """STRING_AGG's text of a value: Arrow's cast, with floats keeping a
-    trailing '.0' as in DuckDB (1.0 → '1.0', not '1')."""
-    s = pc.cast(v, pa.string())
-    if pa.types.is_floating(v.type):
-        s = pc.if_else(pc.match_substring_regex(s, r"^-?\d+$"),
-                       pc.binary_join_element_wise(s, ".0", ""), s)
-    return s
+class _FoldGroups:
+    """One row per group of ``keys`` (NULLs form one group; without keys
+    the input is one group): ``fn`` of the slice of the group's ``col``
+    values, in a column ``out`` of type ``typ``."""
+
+    def __init__(self, keys, col, fn, out, typ):
+        self.keys = list(keys)
+        self.col, self.fn, self.out, self.typ = col, fn, out, typ
+
+    def __call__(self, t: pa.Table) -> pa.Table:
+        gid, first = _dense_group_ids(t, self.keys)
+        cnt = np.bincount(gid, minlength=len(first))
+        vals = t.column(self.col).combine_chunks().take(
+            _group_order(gid, len(first)))
+        out = {k: t.column(k).take(first) for k in self.keys}
+        out[self.out] = pa.array(
+            [self.fn(vals.slice(e - c, c))
+             for e, c in zip(np.cumsum(cnt).tolist(), cnt.tolist())],
+            self.typ)
+        return pa.table(out)
 
 
 def _empty_table(ds: rd.Dataset, names) -> pa.Table:
@@ -2948,140 +2759,55 @@ class Compiler:
                                        key_names, aggs, env) -> rd.Dataset:
         """APPROX_COUNT_DISTINCT(col) [GROUP BY keys] via HyperLogLog:
         per-batch per-group register folds (constant 2^p bytes per group
-        per batch), merged with an element-wise-max AggregateFn (order-
-        independent ⇒ deterministic at any parallelism), estimate at
-        finalize. Shuffle volume is #groups×#batches sketch blobs — never
-        the values (see ops/sketch.py)."""
+        per batch), merged by element-wise max (order-independent ⇒
+        deterministic at any parallelism), then estimated. The exchange
+        moves #groups×#batches sketch blobs — never the values (see
+        ops/sketch.py)."""
         from ..ops.sketch import DEFAULT_P, estimate, fold_batch
 
-        call, i = aggs[0]
-        prep = PreAggPrep(key_exprs, key_names, aggs, env)
-        ds2 = frame.ds.map_batches(prep, batch_format="pyarrow")
-        arg = f"__a{i}"
-        m = 1 << DEFAULT_P
+        def finish(blobs: pa.Array, _m=1 << DEFAULT_P) -> int:
+            regs = np.frombuffer(b"".join(blobs.to_pylist()), np.uint8)
+            return int(round(estimate(
+                regs.reshape(-1, _m).max(axis=0, initial=0))))
 
-        def fold(t: pa.Table, _k=tuple(key_names), _a=arg) -> pa.Table:
-            if len(t) == 0:
-                cols = {k: t.column(k) for k in _k}
-                cols["__hll"] = pa.array([], type=pa.binary())
-                return pa.table(cols)
-            if not _k:
-                regs = fold_batch(t.column(_a))
-                return pa.table({"__hll": pa.array([regs.tobytes()],
-                                                   type=pa.binary())})
-            df = t.select(list(_k) + [_a]).to_pandas()
-            rows = {k: [] for k in _k}
-            blobs = []
-            for keys, grp in df.groupby(list(_k), dropna=False, sort=False):
-                if not isinstance(keys, tuple):
-                    keys = (keys,)
-                for k, v in zip(_k, keys):
-                    rows[k].append(v)
-                blobs.append(fold_batch(
-                    pa.Array.from_pandas(grp[_a])).tobytes())
-            arrays = {}
-            for kcol in _k:
-                arr = pa.Array.from_pandas(pd.Series(rows[kcol]))
-                want = t.schema.field(kcol).type
-                if arr.type != want:
-                    try:
-                        arr = arr.cast(want)
-                    except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
-                        pass
-                arrays[kcol] = arr
-            arrays["__hll"] = pa.array(blobs, type=pa.binary())
-            return pa.table(arrays)
-
-        def _acc_block(a, block):
-            vals = block["__hll"]
-            vals = vals.to_pylist() if hasattr(vals, "to_pylist") else list(vals)
-            for blob in vals:
-                if blob is not None:
-                    np.maximum(a, np.frombuffer(blob, dtype=np.uint8),
-                               out=a)
-            return a
-
-        hll_merge = AggregateFn(
-            init=lambda k: np.zeros(m, dtype=np.uint8),
-            merge=lambda a, b: np.maximum(a, b),
-            accumulate_block=_acc_block,
-            finalize=lambda a: int(round(estimate(a))),
-            name=f"__r{i}")
-
-        partials = ds2.map_batches(fold, batch_format="pyarrow")
-        if key_names:
-            return partials.groupby(key_names).aggregate(hll_merge)
-        row = partials.aggregate(hll_merge) or {}
-        return rd.from_arrow(pa.table({
-            f"__r{i}": pa.array([row.get(f"__r{i}", 0)], type=pa.int64())}))
+        return self._compile_sketch(
+            frame, key_exprs, key_names, aggs, env,
+            lambda v: fold_batch(v).tobytes(), finish, pa.int64())
 
     def _compile_approx_quantile(self, frame: Frame, key_exprs,
                                  key_names, aggs, env) -> rd.Dataset:
         """APPROX_QUANTILE(col, p) [GROUP BY keys] via mergeable quantile
         summaries (ops/sketch.py): per-batch per-group 4 KB order-statistic
-        grids; the merge concatenates blobs (exact) and finalize computes
-        the weighted quantile — rank error ≤ N/512 at any parallelism.
-        Shuffle volume is #groups×#batches summaries, never the values."""
+        grids; the merge concatenates them (exact) and computes the
+        weighted quantile — rank error ≤ N/512 at any parallelism. The
+        exchange moves #groups×#batches summaries, never the values."""
         from ..ops.sketch import quantile_estimate, quantile_fold
 
-        call, i = aggs[0]
+        call, _ = aggs[0]
         if len(call.args) < 2 or not isinstance(call.args[1], A.Literal):
             raise ValueError(
                 "APPROX_QUANTILE(expr, p) requires a literal quantile")
         p = float(call.args[1].value)
-        prep = PreAggPrep(key_exprs, key_names, aggs, env)
-        ds2 = frame.ds.map_batches(prep, batch_format="pyarrow")
-        arg = f"__a{i}"
+        return self._compile_sketch(
+            frame, key_exprs, key_names, aggs, env, quantile_fold,
+            lambda blobs, _p=p: quantile_estimate(blobs.to_pylist(), _p),
+            pa.float64())
 
-        def fold(t: pa.Table, _k=tuple(key_names), _a=arg) -> pa.Table:
-            if len(t) == 0:
-                cols = {k: t.column(k) for k in _k}
-                cols["__qs"] = pa.array([], type=pa.binary())
-                return pa.table(cols)
-            if not _k:
-                return pa.table({"__qs": pa.array(
-                    [quantile_fold(t.column(_a))], type=pa.binary())})
-            df = t.select(list(_k) + [_a]).to_pandas()
-            rows = {k: [] for k in _k}
-            blobs = []
-            for keys, grp in df.groupby(list(_k), dropna=False, sort=False):
-                if not isinstance(keys, tuple):
-                    keys = (keys,)
-                for k, v in zip(_k, keys):
-                    rows[k].append(v)
-                blobs.append(quantile_fold(pa.Array.from_pandas(grp[_a])))
-            arrays = {}
-            for kcol in _k:
-                arr = pa.Array.from_pandas(pd.Series(rows[kcol]))
-                want = t.schema.field(kcol).type
-                if arr.type != want:
-                    try:
-                        arr = arr.cast(want)
-                    except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
-                        pass
-                arrays[kcol] = arr
-            arrays["__qs"] = pa.array(blobs, type=pa.binary())
-            return pa.table(arrays)
-
-        def _acc_block(a, block):
-            vals = block["__qs"]
-            vals = vals.to_pylist() if hasattr(vals, "to_pylist") \
-                else list(vals)
-            return a + [b for b in vals if b is not None]
-
-        q_merge = AggregateFn(
-            init=lambda k: [],
-            merge=lambda a, b: a + b,
-            accumulate_block=_acc_block,
-            finalize=lambda a, _p=p: quantile_estimate(a, _p),
-            name=f"__r{i}")
-
-        partials = ds2.map_batches(fold, batch_format="pyarrow")
-        if key_names:
-            return partials.groupby(key_names).aggregate(q_merge)
-        row = partials.aggregate(q_merge) or {}
-        return rd.from_arrow(pa.table({
-            f"__r{i}": pa.array([row.get(f"__r{i}")], type=pa.float64())}))
+    def _compile_sketch(self, frame: Frame, key_exprs, key_names, aggs,
+                        env, fold, finish, out_type) -> rd.Dataset:
+        """An approximate aggregate: each batch folds each group's values
+        into a sketch blob (``fold``); the exchange meets every blob of a
+        group and ``finish`` merges and estimates them."""
+        _, i = aggs[0]
+        ds2 = frame.ds.map_batches(
+            PreAggPrep(key_exprs, key_names, aggs, env),
+            batch_format="pyarrow").map_batches(
+            _FoldGroups(key_names, f"__a{i}", fold, "__sk", pa.binary()),
+            batch_format="pyarrow")
+        return self._exchange(
+            ds2, key_names,
+            _FoldGroups(key_names, "__sk", finish, f"__r{i}", out_type),
+            ["__sk"])
 
     def _split_correlation(self, sub: A.Select, frame: Frame):
         """Partition a subquery's WHERE conjuncts into equality correlation
@@ -4683,7 +4409,7 @@ class Compiler:
             out = self._compile_approx_quantile(
                 frame, key_exprs, key_names, aggs, env)
         elif any_distinct or any_holistic:
-            # exact path: every row of a group meets in one bucket, where
+            # exact path: every row of a group meets in one task, where
             # ExactAgg aggregates it in Arrow. When every aggregate is
             # DISTINCT, a per-batch row dedup (combiner) first shrinks the
             # input to distinct (keys, args) tuples.
@@ -4692,97 +4418,18 @@ class Compiler:
                 batch_format="pyarrow")
             if all(c.distinct for c in agg_calls):
                 ds2 = ds2.map_batches(_arrow_distinct, batch_format="pyarrow")
-            ds2 = ds2.materialize()
-            nrows = ds2.count()
             exact = ExactAgg(key_names, aggs, env)
-            if not key_names and nrows == 0:
-                # a global aggregate is one row even over no input (Ray
-                # skips the UDF on empty blocks)
-                out = rd.from_arrow(exact(_empty_table(ds2, exact.arg_cols)))
-            elif not key_names or nrows <= self.SMALL_PAIRS_LIMIT:
-                # one task finishes a global or small input without a
-                # shuffle barrier
-                out = ds2.repartition(1).map_batches(
-                    exact, batch_format="pyarrow", batch_size=None)
-            else:
-                def exact_in_bucket(t: pa.Table, _fn=exact) -> pa.Table:
-                    return _fn(t)  # map_groups wants a named function
-
-                out = ds2.map_batches(
-                    AddBucketCol(key_names, _shuffle_buckets(), "__db"),
-                    batch_format="pyarrow") \
-                    .groupby("__db").map_groups(exact_in_bucket,
-                                                batch_format="pyarrow")
+            out = self._exchange(ds2, key_names, exact, exact.arg_cols)
         else:
             ds2 = frame.ds.map_batches(
                 PreAgg(key_exprs, key_names, aggs, env), batch_format="pyarrow")
-            ray_aggs = []
-            for call, i in aggs:
-                kind = call.name
-                if call.is_star:
-                    continue
-                if kind in BIMOMENT_AGGS:
-                    ray_aggs.append(Sum(f"__p{i}_cnt", alias_name=f"__p{i}_cnt",
-                                        ignore_nulls=True))
-                    for suf in ("sx", "sy", "sxx", "syy", "sxy"):
-                        ray_aggs.append(FSum(f"__p{i}_{suf}",
-                                             alias_name=f"__p{i}_{suf}"))
-                    continue
-                if kind in ARG_EXT_AGGS:
-                    ray_aggs.append(ArgExtAgg(
-                        _argext_ismax(kind), f"__p{i}_av", f"__p{i}_ak",
-                        alias_name=f"__p{i}_av"))
-                    continue
-                if kind in BITWISE_AGGS:
-                    ray_aggs.append(BitReduce(kind, f"__p{i}_bit",
-                                              alias_name=f"__p{i}_bit"))
-                    continue
-                if kind == "ANY_VALUE":
-                    ray_aggs.append(AnyValueAgg(f"__p{i}_any",
-                                                alias_name=f"__p{i}_any"))
-                    continue
-                if kind in ("SUM", "AVG", "MEAN") or kind in MOMENT_AGGS \
-                        or kind in EXT_MOMENT_AGGS:
-                    # exact order-independent merge: float sums are
-                    # bit-deterministic regardless of shuffle merge order
-                    ray_aggs.append(FSum(f"__p{i}_sum", alias_name=f"__p{i}_sum"))
-                if kind in ("AVG", "MEAN", "COUNT") or kind in MOMENT_AGGS \
-                        or kind in EXT_MOMENT_AGGS:
-                    ray_aggs.append(Sum(f"__p{i}_cnt", alias_name=f"__p{i}_cnt",
-                                        ignore_nulls=True))
-                if kind in MOMENT_AGGS or kind in EXT_MOMENT_AGGS:
-                    ray_aggs.append(FSum(f"__p{i}_sq", alias_name=f"__p{i}_sq"))
-                if kind in EXT_MOMENT_AGGS:
-                    ray_aggs.append(FSum(f"__p{i}_cu", alias_name=f"__p{i}_cu"))
-                    ray_aggs.append(FSum(f"__p{i}_qu", alias_name=f"__p{i}_qu"))
-                if kind == "MIN" or kind == "BOOL_AND":
-                    ray_aggs.append(Min(f"__p{i}_min", alias_name=f"__p{i}_min",
-                                        ignore_nulls=True))
-                if kind == "MAX" or kind == "BOOL_OR":
-                    ray_aggs.append(Max(f"__p{i}_max", alias_name=f"__p{i}_max",
-                                        ignore_nulls=True))
-            ray_aggs.append(Sum("__pcnt_star", alias_name="__pcnt_star",
-                                ignore_nulls=True))
             if sel.grouping_sets is not None and key_names:
                 out = self._compile_grouping_sets(
-                    ds2, sel.grouping_sets, key_names, ray_aggs)
-            elif key_names:
-                out = self._null_safe_groupby_agg(ds2, key_names, ray_aggs)
+                    ds2, sel.grouping_sets, key_names, aggs)
             else:
-                row = ds2.aggregate(*ray_aggs) or {}
-                alias_names = ([f"__p{i}_{suf}" for call, i in aggs
-                                for suf in _partial_suffixes(call.name) if not call.is_star]
-                               + ["__pcnt_star"])
-                cols = {}
-                for k in alias_names:
-                    v = row.get(k)
-                    if v is None:  # empty input: type the nulls explicitly
-                        t = pa.int64() if k.endswith(
-                            ("_cnt", "_star", "_bit")) else pa.float64()
-                        cols[k] = pa.array([None], type=t)
-                    else:
-                        cols[k] = pa.array([v])
-                out = rd.from_arrow(pa.table(cols))
+                out = self._exchange(
+                    ds2, key_names, MergePartialsTask(key_names, aggs),
+                    [name for name, _ in _merge_plan(aggs)])
             out = out.map_batches(CombinePartials(aggs), batch_format="pyarrow")
 
         # HAVING containing [NOT] EXISTS / correlated scalar subqueries
@@ -4852,55 +4499,50 @@ class Compiler:
         frame2._drop_cols = extra_names  # type: ignore[attr-defined]
         return frame2
 
+    # inputs of an exchange up to this many rows finish in one task
+    # instead of a key-hash bucket shuffle
     SMALL_PARTIALS_LIMIT = 2_000_000
 
-    def _null_safe_groupby_agg(self, ds: rd.Dataset, key_names, ray_aggs
-                               ) -> rd.Dataset:
-        """groupby(keys).aggregate(*aggs), robust to NULL key values.
+    def _exchange(self, ds: rd.Dataset, keys, fn, cols) -> rd.Dataset:
+        """Run ``fn`` over all rows of each group of ``keys``: the one
+        exchange of GROUP BY (partial merges, exact and approximate
+        aggregates). Without keys, or over at most SMALL_PARTIALS_LIMIT
+        rows, one task runs ``fn`` over the whole input, with no shuffle
+        barrier; otherwise a key-hash bucket shuffle hands ``fn`` whole
+        groups. A global aggregate is one row even over no input: ``fn``
+        then runs over an empty table of columns ``cols``."""
+        ds = ds.materialize()
+        nrows = ds.count()
+        if not keys and nrows == 0:
+            # Ray skips the UDF on empty blocks
+            return rd.from_arrow(fn(_empty_table(ds, cols)))
+        if not keys or nrows <= self.SMALL_PARTIALS_LIMIT:
+            return ds.repartition(1).map_batches(
+                fn, batch_format="pyarrow", batch_size=None)
 
-        Ray's sort-based groupby shuffle raises TypeError when a boundary
-        sample compares None to a value, so group on (is-null flag,
-        null-filled copy) pairs and rebuild the real keys afterwards
-        (NULL forms its own group, matching DuckDB / pandas dropna=False).
+        def in_bucket(t: pa.Table, _fn=fn) -> pa.Table:
+            return _fn(t)  # map_groups wants a named function
 
-        ADAPTIVE: the map-side combiner usually leaves few partial rows
-        (blocks × groups). When that count is ≤ SMALL_PARTIALS_LIMIT, one
-        task merges them (MergePartialsTask — same math, bit-identical
-        results) instead of paying the 1-2 s sort-shuffle barrier; at 100 TB
-        a high-cardinality GROUP BY exceeds the limit and takes the real
-        exchange as before."""
-        enc = NullSafeSortKeys(list(key_names))
-        enc_keys = [c for i in range(len(key_names))
-                    for c in (f"__nf{i}", f"__nk{i}")]
-        ds2 = ds.map_batches(enc, batch_format="pyarrow") \
-                .map_batches(DropColumns(list(key_names)),
-                             batch_format="pyarrow")
-        ds2 = ds2.materialize()  # the shuffle barrier would materialize too
-        if ds2.count() <= self.SMALL_PARTIALS_LIMIT:
-            kind_of = {FSum: "fsum", Sum: "sum", Min: "min", Max: "max"}
-            spec = [(a.name, getattr(a, "merge_kind", None)
-                     or kind_of[type(a)]) for a in ray_aggs]
-            out = ds2.repartition(1).map_batches(
-                MergePartialsTask(enc_keys, spec),
-                batch_format="pyarrow", batch_size=None)
-        else:
-            out = ds2.groupby(enc_keys).aggregate(*ray_aggs)
-        return out.map_batches(_DecodeNullSafeKeys(key_names),
-                               batch_format="pyarrow")
+        return ds.map_batches(
+            AddBucketCol(keys, _shuffle_buckets(), "__db"),
+            batch_format="pyarrow") \
+            .groupby("__db").map_groups(in_bucket, batch_format="pyarrow")
 
     def _compile_grouping_sets(self, ds2: rd.Dataset, grouping_sets,
-                               key_names, ray_aggs) -> rd.Dataset:
+                               key_names, aggs) -> rd.Dataset:
         """ROLLUP / CUBE / GROUPING SETS in ONE input shuffle.
 
         The input is aggregated once at the finest grouping (all keys);
-        every coarser set is then derived by re-aggregating the finest
-        PARTIALS (sums/counts/moments/min/max merge exactly — the alias
-        names equal the input names, so the same AggregateFn list applies).
-        The finest result is post-aggregation small, so the extra groupbys
-        shuffle negligible data; the raw input is read exactly once. Each
-        piece is aligned to one canonical schema (missing keys → typed
-        NULLs) plus __gm{j} mask columns backing GROUPING(key)."""
-        finest = self._null_safe_groupby_agg(ds2, key_names, ray_aggs) \
+        every coarser set is then derived by merging the finest PARTIALS
+        again (sums/counts/moments/min/max merge exactly — the merged
+        columns keep the partial names, so the same kernel applies). The
+        finest result is post-aggregation small, so the extra merges move
+        negligible data; the raw input is read exactly once. Each piece is
+        aligned to one canonical schema (missing keys → typed NULLs) plus
+        __gm{j} mask columns backing GROUPING(key)."""
+        names = [name for name, _ in _merge_plan(aggs)]
+        finest = self._exchange(ds2, key_names,
+                                MergePartialsTask(key_names, aggs), names) \
             .materialize()
         schema = finest.schema()
         if schema is None:
@@ -4908,27 +4550,16 @@ class Compiler:
             # () grand-total set still emits one row (COUNT partials NULL →
             # 0 in CombinePartials, other aggs NULL) — DuckDB parity.
             return self._empty_grouping_sets(ds2, grouping_sets, key_names,
-                                             ray_aggs)
+                                             names)
         types = dict(zip(schema.names, schema.types))
-        partial_names = [n for n in schema.names if n not in key_names]
         full = frozenset(range(len(key_names)))
         pieces = []
         for gs in grouping_sets:
             subset = [key_names[i] for i in gs]
-            if frozenset(gs) == full:
-                piece = finest
-            elif subset:
-                piece = self._null_safe_groupby_agg(finest, subset, ray_aggs)
-            else:
-                row = finest.aggregate(*ray_aggs) or {}
-                cols = {}
-                for name in partial_names:
-                    v = row.get(name)
-                    cols[name] = pa.array([v], type=types.get(name))
-                piece = rd.from_arrow(pa.table(cols))
+            piece = finest if frozenset(gs) == full else self._exchange(
+                finest, subset, MergePartialsTask(subset, aggs), names)
             pieces.append(piece.map_batches(
-                _AlignGroupingSet(key_names, types, partial_names,
-                                  frozenset(gs)),
+                _AlignGroupingSet(key_names, types, names, frozenset(gs)),
                 batch_format="pyarrow"))
         out = pieces[0]
         if len(pieces) > 1:
@@ -4936,15 +4567,14 @@ class Compiler:
         return out
 
     def _empty_grouping_sets(self, ds2: rd.Dataset, grouping_sets,
-                             key_names, ray_aggs) -> rd.Dataset:
+                             key_names, partial_names) -> rd.Dataset:
         """ROLLUP/CUBE/GROUPING SETS over ZERO input rows. Synthesize the
         canonical aligned schema (keys + partials + __gm masks) from the
-        pre-agg input — partial alias names equal their input column names
-        — and emit one all-NULL-keyed row per () set, zero rows otherwise."""
+        pre-agg input — merged partials keep their input column names —
+        and emit one all-NULL-keyed row per () set, zero rows otherwise."""
         in_schema = ds2.schema()
         in_types = dict(zip(in_schema.names, in_schema.types)) \
             if in_schema is not None else {}
-        partial_names = [a.name for a in ray_aggs]
         fields = [pa.field(k, in_types.get(k, pa.string()))
                   for k in key_names]
         for n in partial_names:
@@ -5120,10 +4750,6 @@ class Compiler:
     # per-batch pruning are limit × #batches — tiny) instead of the
     # global range-shuffle sort
     TOPK_SINGLE_TASK_LIMIT = 10_000
-    # exact-route inputs (keys + aggregate args, DISTINCT tuples after the
-    # per-batch dedup) up to this many rows resolve in one task instead of
-    # a bucket shuffle; distinct sets (_distinct) likewise
-    SMALL_PAIRS_LIMIT = 2_000_000
 
     def _compile_order(self, frame: Frame, order_by, env,
                        limit: Optional[int] = None) -> Frame:
@@ -5568,7 +5194,7 @@ def _distinct(ds: rd.Dataset, names: Optional[list] = None) -> rd.Dataset:
     # bucket path re-reads the materialized blocks, not the source.
     combined = ds.map_batches(local_dedup,
                               batch_format="pyarrow").materialize()
-    if combined.count() <= Compiler.SMALL_PAIRS_LIMIT and \
+    if combined.count() <= Compiler.SMALL_PARTIALS_LIMIT and \
             (combined.size_bytes() or 0) <= (256 << 20):
         tables = [t for t in combined.iter_batches(batch_size=None,
                                                    batch_format="pyarrow")

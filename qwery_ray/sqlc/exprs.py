@@ -143,15 +143,28 @@ def _to_float(val):
     return pc.cast(val, pa.float64())
 
 
+def as_text(v):
+    """Arrow's cast to string, with floats keeping a trailing '.0' as in
+    DuckDB (1.0 → '1.0', not '1')."""
+    s = pc.cast(v, pa.string())
+    if pa.types.is_floating(v.type):
+        s = pc.if_else(pc.match_substring_regex(s, r"^-?\d+$"),
+                       pc.binary_join_element_wise(s, ".0", ""), s)
+    return s
+
+
 def try_cast(arr, target: pa.DataType):
     """Lenient cast: invalid values → NULL (reference Cast.scala:25 semantics).
 
     Fast path is a plain Arrow cast; only on failure do we fall back to a
-    per-type coercion (still vectorized via pandas/numpy).
+    per-type coercion (still vectorized via pandas/numpy). Floats cast to
+    text as DuckDB writes them (``as_text``).
     """
     if _is_scalar(arr):
         if arr is None:
             return None
+        if isinstance(arr, float) and pa.types.is_string(target):
+            return as_text(pa.array([arr]))[0].as_py()
         try:
             return pa.scalar(arr).cast(target).as_py()
         except (pa.ArrowInvalid, pa.ArrowTypeError, pa.ArrowNotImplementedError,
@@ -161,6 +174,8 @@ def try_cast(arr, target: pa.DataType):
             return try_cast(pa.array([arr]), target)[0].as_py()
         except (pa.ArrowInvalid, pa.ArrowTypeError, ValueError, OverflowError):
             return None
+    if pa.types.is_string(target) and pa.types.is_floating(arr.type):
+        return as_text(arr)
     try:
         return pc.cast(arr, target)
     except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):

@@ -7,6 +7,12 @@ CAST/alias discipline so schemas line up. Deterministic per seed.
 
 Usage:
     python scripts/fuzz_vs_duckdb.py [--n 300] [--seed 7] [--sf DIR]
+                                     [--bucket-route]
+
+``--bucket-route`` sets ``Compiler.SMALL_PARTIALS_LIMIT = 0`` in this
+process, so every keyed GROUP BY, DISTINCT and window takes the key-hash
+bucket route instead of the one-task finish (a test switch, not an engine
+option).
 
 Prints one line per mismatch/error and a summary; exit 1 on any mismatch.
 Found bugs get distilled into pinned regression tests (tests/test_fuzz_regressions.py).
@@ -1212,6 +1218,8 @@ def main():
     ap.add_argument("--n", type=int, default=300)
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--sf", default="/root/testdata/sf0.001")
+    ap.add_argument("--bucket-route", action="store_true",
+                    help="force the key-hash bucket route of every exchange")
     args = ap.parse_args()
 
     import ray
@@ -1219,6 +1227,9 @@ def main():
         ray.init(address="local", num_cpus=8, include_dashboard=False,
                  logging_level="ERROR")
     from qwery_ray.engine.session import QweryEngine
+    if args.bucket_route:
+        from qwery_ray.sqlc.compiler import Compiler
+        Compiler.SMALL_PARTIALS_LIMIT = 0
     sess = QweryEngine(table_root=args.sf)
     con = duckdb.connect()
     for t in list(TABLES) + ["nation", "region"]:
@@ -1245,7 +1256,8 @@ def main():
         if diff:
             print(f"[{i}] MISMATCH {diff}\n    {q_mine}")
             bad += 1
-    print(f"\n{args.n} queries, {bad} failures (seed={args.seed})")
+    route = ", bucket route" if args.bucket_route else ""
+    print(f"\n{args.n} queries, {bad} failures (seed={args.seed}{route})")
     ray.shutdown()
     return 1 if bad else 0
 

@@ -229,7 +229,7 @@ class TestAggAliasesProductEntropy:
 
     def test_qualify_sees_select_aliases(self, engine, duck):
         # alias of an AGGREGATE used inside the QUALIFY window's ORDER BY
-        # rtol: the engine's exact FSum vs DuckDB's drifting float sum
+        # rtol: the engine's exactly-rounded sum vs DuckDB's drifting one
         self._cmp(engine, duck,
                   "SELECT o_orderstatus, SUM(o_totalprice) AS s "
                   "FROM orders GROUP BY o_orderstatus "
@@ -336,7 +336,7 @@ class TestExactAggregatesBothRoutes:
         from qwery_ray.sqlc.compiler import Compiler
 
         if shuffle:
-            monkeypatch.setattr(Compiler, "SMALL_PAIRS_LIMIT", 0)
+            monkeypatch.setattr(Compiler, "SMALL_PARTIALS_LIMIT", 0)
         for sql in (f"SELECT k, {agg} AS a FROM {_EXACT_DATA} GROUP BY k",
                     f"SELECT {agg} AS a FROM {_EXACT_DATA}"):
             _assert_rows_match(engine, duck, sql)

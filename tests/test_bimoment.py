@@ -1,7 +1,7 @@
 """Two-argument (co)moment aggregates — COVAR/CORR/REGR_* — vs DuckDB.
 
 Superset of the reference's single-argument aggregate surface
-(core/expressions/aggregates): same PreAgg-partials → exact FSum merge
+(core/expressions/aggregates): same PreAgg-partials → exact fsum merge
 architecture extended to the shared (cnt, Σx, Σy, Σx², Σy², Σxy) partial
 vector, so every function in the family merges order-independently at any
 parallelism. Edge semantics (NULL-pair exclusion, n=1, zero-variance

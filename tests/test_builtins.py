@@ -289,6 +289,15 @@ class TestRegexpTryCastDistinct:
                   "SELECT TRY_CAST(o_orderpriority AS INT) AS p, "
                   "COUNT(*) AS n FROM orders GROUP BY p ORDER BY p")
 
+    def test_cast_float_to_varchar(self, engine, duck):
+        # DuckDB writes a whole double with its '.0' (1.0 → '1.0'), for a
+        # column and for a constant alike
+        self._cmp(engine, duck,
+                  "SELECT CAST(CAST(x AS DOUBLE) AS VARCHAR) AS s, "
+                  "CAST(CAST(-2 AS DOUBLE) AS VARCHAR) AS c "
+                  "FROM (VALUES (1.0), (-2.0), (2.5), (NULL)) t(x)",
+                  sort=["s"])
+
     def test_regexp_matches_and_replace(self, engine, duck):
         self._cmp(engine, duck,
                   "SELECT doc_id, REGEXP_REPLACE(text, '[0-9]+', '#') AS t1, "

@@ -2,10 +2,10 @@
 NULLs run through the engine's partials→merge pipeline must match DuckDB.
 
 Covers the round-3 aggregate families end-to-end at 4-CPU parallelism, so
-the per-batch PreAgg combiner, the partial-merge (MergePartialsTask /
-AggregateFn) and the CombinePartials finalize are all exercised on
-adversarial inputs (all-NULL groups, single-row groups, zero variance,
-negative ints, duplicate keys).
+the per-batch PreAgg combiner, the partial merge (MergePartialsTask, in
+one task and per key-hash bucket) and the CombinePartials finalize are all
+exercised on adversarial inputs (a NULL group key, all-NULL groups,
+single-row groups, zero variance, negative ints, duplicate keys).
 """
 
 import duckdb
@@ -18,14 +18,17 @@ from hypothesis import strategies as st
 from conftest import to_pandas
 
 _VALS = st.one_of(st.none(), st.integers(min_value=-50, max_value=50))
-_ROW = st.tuples(st.sampled_from(["a", "b", "c"]), _VALS, _VALS)
+_ROW = st.tuples(st.sampled_from(["a", "b", "c", None]), _VALS, _VALS)
 
 
 def _values_sql(rows):
     def lit(v):
         return "NULL" if v is None else str(v)
 
-    body = ", ".join(f"('{g}', {lit(v)}, {lit(k)})" for g, v, k in rows)
+    def key(g):
+        return "NULL" if g is None else f"'{g}'"
+
+    body = ", ".join(f"({key(g)}, {lit(v)}, {lit(k)})" for g, v, k in rows)
     return f"(VALUES {body}) AS t(g, v, k)"
 
 
@@ -55,6 +58,23 @@ class TestAggregateFuzz:
     @given(rows=st.lists(_ROW, min_size=1, max_size=25),
            snippet=st.sampled_from(AGG_SNIPPETS))
     def test_grouped_agg_matches_duckdb(self, engine, rows, snippet):
+        self._check(engine, rows, snippet)
+
+    @settings(max_examples=32, deadline=None)
+    @given(rows=st.lists(_ROW, min_size=1, max_size=25),
+           snippet=st.sampled_from(AGG_SNIPPETS))
+    def test_bucket_route_matches_duckdb(self, engine, rows, snippet):
+        from qwery_ray.sqlc.compiler import Compiler
+
+        orig = Compiler.SMALL_PARTIALS_LIMIT
+        Compiler.SMALL_PARTIALS_LIMIT = 0  # force the key-hash bucket route
+        try:
+            self._check(engine, rows, snippet)
+        finally:
+            Compiler.SMALL_PARTIALS_LIMIT = orig
+
+    @staticmethod
+    def _check(engine, rows, snippet):
         if snippet.startswith("ARG_"):
             # engine/DuckDB tie-breaks differ on duplicate keys: make the
             # key unique per (group, key) by deduping candidate pairs

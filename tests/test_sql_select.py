@@ -542,34 +542,65 @@ class TestQuantifiedComparisons:
 
 
 class TestAdaptiveAggregateFinish:
-    """The single-task small-partials finish must be BIT-identical to the
-    sort-shuffle AggregateFn path (same partials, same fsum merge)."""
+    """The one-task finish and the key-hash bucket route merge the same
+    partials with the same kernel (exactly-rounded float sums), so their
+    results must be BIT-identical: for every algebraic aggregate family,
+    a NULL group key and a ROLLUP."""
 
-    def test_paths_bit_identical(self, engine):
+    _AGGS = ("COUNT(*) AS n, SUM(o_totalprice) AS s, "
+             "MIN(o_totalprice) AS lo, MAX(o_totalprice) AS hi, "
+             "AVG(o_totalprice) AS m, BIT_AND(o_custkey) AS b_and, "
+             "BIT_OR(o_custkey) AS b_or, BIT_XOR(o_custkey) AS b_xor, "
+             "ANY_VALUE(o_orderstatus) AS anyv, "
+             "ARG_MAX(o_orderkey, o_totalprice) AS amax, "
+             "MIN_BY(o_orderkey, o_totalprice) AS minby, "
+             "BOOL_AND(o_totalprice > 50000) AS band, "
+             "STDDEV(o_totalprice) AS sd, SKEWNESS(o_totalprice) AS sk, "
+             "COVAR_POP(o_totalprice, o_custkey) AS cov, "
+             "CORR(o_totalprice, o_custkey) AS cor, "
+             "MIN(o_orderpriority) AS plo, MAX(o_orderpriority) AS phi")
+    # the NULL key group holds the 'P' orders
+    _FROM = ("FROM (SELECT *, NULLIF(o_orderstatus, 'P') AS k FROM orders) t")
+
+    def _both_routes(self, engine, sql, keys):
         from qwery_ray.sqlc.compiler import Compiler
 
-        sql = ("SELECT o_orderstatus, COUNT(*) AS n, "
-               "SUM(o_totalprice) AS s, MIN(o_totalprice) AS lo, "
-               "MAX(o_totalprice) AS hi, AVG(o_totalprice) AS m "
-               "FROM orders GROUP BY o_orderstatus")
-        small = engine.sql(sql).to_pandas().sort_values(
-            "o_orderstatus", ignore_index=True)
+        def run():
+            return engine.sql(sql).to_pandas().sort_values(
+                keys, ignore_index=True, na_position="first")
+
+        small = run()
         orig = Compiler.SMALL_PARTIALS_LIMIT
-        Compiler.SMALL_PARTIALS_LIMIT = 0  # force the shuffle path
+        Compiler.SMALL_PARTIALS_LIMIT = 0  # force the bucket route
         try:
-            big = engine.sql(sql).to_pandas().sort_values(
-                "o_orderstatus", ignore_index=True)
+            big = run()
         finally:
             Compiler.SMALL_PARTIALS_LIMIT = orig
         assert list(small.columns) == list(big.columns)
+        assert len(small) == len(big) > 1
         for c in small.columns:
             a, b = small[c].to_numpy(), big[c].to_numpy()
             if a.dtype.kind == "f":
                 import numpy as np
 
-                assert np.array_equal(a, b)  # exact bits, no tolerance
+                # exact bits, no tolerance
+                assert np.array_equal(a, b, equal_nan=True), c
             else:
-                assert a.tolist() == b.tolist()
+                assert a.tolist() == b.tolist(), c
+        return small
+
+    def test_paths_bit_identical(self, engine):
+        out = self._both_routes(
+            engine, f"SELECT k, {self._AGGS} {self._FROM} GROUP BY k", ["k"])
+        assert out["k"].isna().sum() == 1
+
+    def test_rollup_paths_bit_identical(self, engine):
+        self._both_routes(
+            engine,
+            f"SELECT k, o_orderpriority, GROUPING(k) AS gk, "
+            f"GROUPING(o_orderpriority) AS gp, {self._AGGS} {self._FROM} "
+            f"GROUP BY ROLLUP(k, o_orderpriority)",
+            ["gk", "gp", "k", "o_orderpriority"])
 
     def test_string_min_max_and_nulls(self, engine, duck):
         sql = ("SELECT o_orderstatus, MIN(o_orderpriority) AS lo, "
