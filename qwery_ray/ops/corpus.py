@@ -153,7 +153,7 @@ def unit_dedup(ds: rd.Dataset, explode, *, id_col: str = "doc_id",
     """
     import ray
 
-    from ..sqlc.compiler import AddBucketCol
+    from ..sqlc.compiler import AddBucketCol, _shuffle_buckets
 
     ncpu = int(ray.cluster_resources().get("CPU", 8)) \
         if ray.is_initialized() else 8
@@ -179,7 +179,7 @@ def unit_dedup(ds: rd.Dataset, explode, *, id_col: str = "doc_id",
             losers_in_bucket, batch_format="pandas", batch_size=None)
     else:
         losers = pairs.map_batches(
-            AddBucketCol(["uh_a"], max(32, ncpu * 4), "__db"),
+            AddBucketCol(["uh_a"], _shuffle_buckets(), "__db"),
             batch_format="pyarrow") \
             .groupby("__db").map_groups(losers_in_bucket,
                                         batch_format="pandas")
@@ -227,8 +227,6 @@ def unit_dedup(ds: rd.Dataset, explode, *, id_col: str = "doc_id",
         return _reassemble(df, id_col, sep_out, total_from="n_units") \
             .to_pandas()
 
-    from ..sqlc.compiler import AddBucketCol as _AB
-
     tot = units.map_batches(
         lambda t: pa.table({
             id_col: t.column(id_col),
@@ -241,7 +239,8 @@ def unit_dedup(ds: rd.Dataset, explode, *, id_col: str = "doc_id",
                            num_partitions=_join_partitions(ncpu),
                            on=(id_col,))
     return joined.map_batches(
-        _AB([id_col], max(32, ncpu * 4), "__gb"), batch_format="pyarrow") \
+        AddBucketCol([id_col], _shuffle_buckets(), "__gb"),
+        batch_format="pyarrow") \
         .groupby("__gb").map_groups(rebuild_group, batch_format="pandas")
 
 
@@ -375,7 +374,7 @@ def dup_span_stats(ds: rd.Dataset, *, w: int = 8, text_col: str = "text",
     """
     import ray
 
-    from ..sqlc.compiler import AddBucketCol
+    from ..sqlc.compiler import AddBucketCol, _shuffle_buckets
 
     ncpu = int(ray.cluster_resources().get("CPU", 8)) \
         if ray.is_initialized() else 8
@@ -415,7 +414,7 @@ def dup_span_stats(ds: rd.Dataset, *, w: int = 8, text_col: str = "text",
         cov = dups.repartition(1).map_batches(
             coverage, batch_format="pandas", batch_size=None)
     else:
-        nb = max(32, ncpu * 4)
+        nb = _shuffle_buckets()
         dups = grams.map_batches(
             lambda t: t.select(["gh_a", "gh_b", id_col, "start"]),
             batch_format="pyarrow") \

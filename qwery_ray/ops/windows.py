@@ -3,8 +3,8 @@
 ``sliding_window_agg``: tumbling/sliding windows (width W, slide S, W a
 multiple of S) — each event belongs to W/S windows. The scale shape is a
 per-batch COMBINER (explode the window ids vectorized, partial
-count/sum per window id via bincount) followed by a tiny
-``groupby(window).Sum`` merge: the shuffle moves one row per (window,
+count/sum per window id via bincount) followed by one exchange() that
+sums each window's partials: the exchange moves one row per (window,
 batch), never per event. Money-typed values accumulate as integer cents,
 so window sums are exact and bit-stable at any parallelism (the same
 decimal-snapping contract as the SQL aggregate oracle bridge).
@@ -19,7 +19,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
-from ray.data.aggregate import Sum
 
 
 class SlidingWindowPartial:
@@ -74,17 +73,15 @@ def session_window_agg(ds: rd.Dataset, *, key_col: str = "user_id",
                        ts_col: str = "ts",
                        gap_sec: int = 1800) -> rd.Dataset:
     """Gap-based session windows per key: consecutive events closer than
-    ``gap_sec`` belong to one session. Scale shape: keys hash into
-    ~4×cores coarse buckets (a key's events land wholly in one group);
-    sessionization runs vectorized in pandas inside the group — cumsum
-    over gap breaks, one aggregation per (key, session). Session
-    MEMBERSHIP is independent of tie order (equal timestamps have gap 0),
-    so the output is deterministic at any parallelism.
+    ``gap_sec`` belong to one session. One ``exchange()`` hands each task
+    whole keys; inside it the events sort by (key, second) and a session
+    starts at every new key and every gap over ``gap_sec`` (NULL keys form
+    one key, as in SQL's PARTITION BY). Session MEMBERSHIP is independent
+    of tie order (equal timestamps have gap 0), so the output is
+    deterministic at any parallelism.
 
     Emits (key, session_start_sec, session_end_sec, n_events)."""
-    import pandas as pd
-
-    from ..sqlc.compiler import AddBucketCol, Compiler, _shuffle_buckets
+    from ..sqlc.compiler import _dense_group_ids, exchange
 
     def to_secs(t: pa.Table) -> pa.Table:
         secs = np.floor_divide(
@@ -93,60 +90,46 @@ def session_window_agg(ds: rd.Dataset, *, key_col: str = "user_id",
         return pa.table({key_col: t.column(key_col),
                          "__sec": pa.array(secs, type=pa.int64())})
 
-    def sessionize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([key_col, "__sec"], kind="stable")
-        new_key = df[key_col].ne(df[key_col].shift())
-        gap = df["__sec"].diff()
-        brk = (new_key | (gap > gap_sec)).cumsum()
-        g = df.groupby(brk, sort=False)
-        out = pd.DataFrame({
-            key_col: g[key_col].first(),
-            "session_start_sec": g["__sec"].min(),
-            "session_end_sec": g["__sec"].max(),
-            "n_events": g.size(),
+    def sessionize(t: pa.Table) -> pa.Table:
+        t = t.sort_by([(key_col, "ascending"), ("__sec", "ascending")])
+        gid, _ = _dense_group_ids(t, [key_col])
+        sec = t.column("__sec").to_numpy()
+        start = np.flatnonzero(np.r_[True, (gid[1:] != gid[:-1])
+                                     | (np.diff(sec) > gap_sec)])
+        end = np.r_[start[1:], len(t)] - 1
+        return pa.table({
+            key_col: t.column(key_col).take(start),
+            "session_start_sec": pa.array(sec[start]),
+            "session_end_sec": pa.array(sec[end]),
+            "n_events": pa.array(end - start + 1, pa.int64()),
         })
-        return out.reset_index(drop=True).astype({"n_events": "int64"})
 
-    secs = ds.map_batches(to_secs, batch_format="pyarrow").materialize()
-    if secs.count() <= Compiler.SMALL_PARTIALS_LIMIT:
-        # small input: sessionize everything in one task — skips the
-        # bucket shuffle barrier (sessionize sorts by key anyway)
-        return secs.repartition(1).map_batches(
-            sessionize, batch_format="pandas", batch_size=None)
-    return (secs.map_batches(AddBucketCol([key_col], _shuffle_buckets(),
-                                          "__sb"),
-                             batch_format="pyarrow")
-            .groupby("__sb")
-            .map_groups(sessionize, batch_format="pandas"))
+    return exchange(ds.map_batches(to_secs, batch_format="pyarrow"),
+                    [key_col], sessionize)
+
+
+def _merge_window_partials(t: pa.Table) -> pa.Table:
+    """Sum the integer partials of each window exactly (Arrow group_by)."""
+    out = t.group_by(["window_start_sec"], use_threads=False) \
+        .aggregate([("__pc", "sum"), ("__ps", "sum")])
+    return pa.table({
+        "window_start_sec": out.column("window_start_sec"),
+        "n_events": out.column("__pc_sum"),
+        "__cents": out.column("__ps_sum"),
+    })
 
 
 def sliding_window_agg(ds: rd.Dataset, *, ts_col: str = "ts",
                        value_col: str = "value", width_sec: int = 3600,
                        slide_sec: int = 3600) -> rd.Dataset:
-    """Per-window (count, exact value sum): combiner → tiny Sum merge."""
-    from ..sqlc.compiler import Compiler
+    """Per-window (count, exact value sum): combiner → one exchange()
+    merges each window's integer partials."""
+    from ..sqlc.compiler import exchange
 
     partial = ds.map_batches(
         SlidingWindowPartial(ts_col, value_col, width_sec, slide_sec),
-        batch_format="pyarrow").materialize()
-    if partial.count() <= Compiler.SMALL_PARTIALS_LIMIT:
-        # integer partials (counts + cent sums): one arrow group_by task
-        # merges them exactly, no shuffle barrier
-        def merge_small(t: pa.Table) -> pa.Table:
-            out = t.group_by(["window_start_sec"], use_threads=False) \
-                .aggregate([("__pc", "sum"), ("__ps", "sum")])
-            return pa.table({
-                "window_start_sec": out.column("window_start_sec"),
-                "n_events": out.column("__pc_sum"),
-                "__cents": out.column("__ps_sum"),
-            })
-
-        merged = partial.repartition(1).map_batches(
-            merge_small, batch_format="pyarrow", batch_size=None)
-    else:
-        merged = partial.groupby("window_start_sec").aggregate(
-            Sum(on="__pc", alias_name="n_events", ignore_nulls=True),
-            Sum(on="__ps", alias_name="__cents", ignore_nulls=True))
+        batch_format="pyarrow")
+    merged = exchange(partial, ["window_start_sec"], _merge_window_partials)
 
     def finish(t: pa.Table) -> pa.Table:
         total = pc.divide(

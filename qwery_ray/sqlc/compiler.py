@@ -482,6 +482,35 @@ class AddBucketCol:
         return t.append_column(self.out, pa.array(b))
 
 
+def exchange(ds: rd.Dataset, keys, fn, cols=()) -> rd.Dataset:
+    """Run ``fn`` over all rows of each group of ``keys``: the one exchange
+    of GROUP BY (partial merges, exact and approximate aggregates, every
+    ROLLUP/CUBE piece), of EXCEPT/INTERSECT [ALL] (key counts), of
+    UNION DISTINCT, SELECT DISTINCT and ``distinct_rows`` (``_distinct``),
+    and of ``ops.windows``' sliding and session windows. Without keys, or
+    over at most ``Compiler.SMALL_PARTIALS_LIMIT`` rows, one task runs
+    ``fn`` over the whole input, with no shuffle barrier; otherwise a
+    key-hash bucket shuffle hands ``fn`` whole groups. A global aggregate
+    is one row even over no input: ``fn`` then runs over an empty table of
+    columns ``cols``."""
+    ds = ds.materialize()
+    nrows = ds.count()
+    if not keys and nrows == 0:
+        # Ray skips the UDF on empty blocks
+        return rd.from_arrow(fn(_empty_table(ds, cols)))
+    if not keys or nrows <= Compiler.SMALL_PARTIALS_LIMIT:
+        return ds.repartition(1).map_batches(
+            fn, batch_format="pyarrow", batch_size=None)
+
+    def in_bucket(t: pa.Table, _fn=fn) -> pa.Table:
+        return _fn(t.drop_columns(["__db"]))
+
+    return ds.map_batches(
+        AddBucketCol(keys, _shuffle_buckets(), "__db"),
+        batch_format="pyarrow") \
+        .groupby("__db").map_groups(in_bucket, batch_format="pyarrow")
+
+
 class EnforceSchema:
     """Normalize blocks to one arrow schema. Ray's hash-shuffle join emits
     zero-column blocks for empty partitions; any later join/union over them
@@ -1199,6 +1228,46 @@ class _FoldGroups:
              for e, c in zip(np.cumsum(cnt).tolist(), cnt.tolist())],
             self.typ)
         return pa.table(out)
+
+
+class ArmCounts:
+    """Per batch of one EXCEPT/INTERSECT arm: one row per distinct tuple of
+    ``keys`` (NULLs group together, as do NaNs) with its count in column
+    ``side`` (``__l`` for the left arm, ``__r`` for the right) and 0 in the
+    other."""
+
+    def __init__(self, keys, side):
+        self.keys, self.side = list(keys), side
+
+    def __call__(self, t: pa.Table) -> pa.Table:
+        gid, first = _dense_group_ids(t, self.keys)
+        cnt = pa.array(np.bincount(gid, minlength=len(first)), pa.int64())
+        zero = pa.array(np.zeros(len(first), np.int64))
+        out = t.select(self.keys).take(first)
+        return out.append_column("__l", cnt if self.side == "__l" else zero) \
+            .append_column("__r", zero if self.side == "__l" else cnt)
+
+
+class SetOpRows:
+    """The exchange kernel of EXCEPT/INTERSECT [ALL]: sums each key's
+    ``__l`` and ``__r`` counts (see ArmCounts) and repeats the key's first
+    row as often as the op keeps it: EXCEPT once if l > 0 and r = 0,
+    INTERSECT once if l > 0 and r > 0, EXCEPT ALL max(l − r, 0) times,
+    INTERSECT ALL min(l, r) times."""
+
+    def __init__(self, keys, op, all_):
+        self.keys, self.op, self.all = list(keys), op, all_
+
+    def __call__(self, t: pa.Table) -> pa.Table:
+        gid, first = _dense_group_ids(t, self.keys)
+        l, r = (np.bincount(gid, t.column(c).to_numpy(), len(first))
+                .astype(np.int64) for c in ("__l", "__r"))
+        if self.all:
+            n = np.maximum(l - r, 0) if self.op == "EXCEPT" \
+                else np.minimum(l, r)
+        else:
+            n = (l > 0) & ((r == 0) if self.op == "EXCEPT" else (r > 0))
+        return t.select(self.keys).take(np.repeat(first, n))
 
 
 def _empty_table(ds: rd.Dataset, names) -> pa.Table:
@@ -2044,30 +2113,6 @@ class _AlignGroupingSet:
         return pa.table(cols)
 
 
-class _DecodeNullSafeKeys:
-    """Inverse of NullSafeSortKeys after a groupby: rebuild each key column
-    as NULL where __nf{i}=1 else __nk{i}, and drop the helper columns."""
-
-    def __init__(self, key_names):
-        self.key_names = list(key_names)
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        cols = {}
-        for i, k in enumerate(self.key_names):
-            nf = t.column(f"__nf{i}")
-            nk = t.column(f"__nk{i}")
-            if isinstance(nk, pa.ChunkedArray):
-                nk = nk.combine_chunks()
-            cols[k] = pc.if_else(pc.equal(nf, 1),
-                                 pa.scalar(None, nk.type), nk)
-        helper = {f"__nf{i}" for i in range(len(self.key_names))} | \
-                 {f"__nk{i}" for i in range(len(self.key_names))}
-        for c in t.column_names:
-            if c not in helper:
-                cols[c] = t.column(c)
-        return pa.table(cols)
-
-
 class _PositionalUnionRename:
     """Re-label the right UNION arm positionally to the left arm's names."""
 
@@ -2296,7 +2341,7 @@ class Compiler:
                     batch_format="pyarrow")
             out = left_f.ds.union(right_ds)
             if stmt.distinct:
-                out = _distinct(out)
+                out = _distinct(out, names=left_f.columns or None)
             return _tag_columns(out, left_f.columns)
         if isinstance(stmt, A.SetOp):
             left_f = self._query_frame(stmt.left)
@@ -2311,111 +2356,16 @@ class Compiler:
                 right_ds = right_ds.map_batches(
                     _PositionalUnionRename(right_f.columns, left_f.columns),
                     batch_format="pyarrow")
-            keys = tuple(left_f.columns) or tuple(
-                left_f.ds.schema().names)
-            join_type = "left_anti" if stmt.op == "EXCEPT" else "left_semi"
-            num_cpus = int(ray.cluster_resources().get("CPU", 8))
-            # ANSI set ops treat NULLs as not-distinct (NULL matches NULL),
-            # but join keys use SQL NULL semantics — encode each key as
-            # (is-null flag, null-filled value) so NULL rows pair up
-            enc = NullSafeSortKeys(list(keys))
-            enc_keys = tuple(c for i in range(len(keys))
-                             for c in (f"__nf{i}", f"__nk{i}"))
-            # materialized join inputs: with lazy inputs Ray's hash-shuffle
-            # join emits zero-column blocks for empty partitions
-            left_enc = left_f.ds.map_batches(
-                enc, batch_format="pyarrow").materialize()
-            right_enc = right_ds.map_batches(
-                enc, batch_format="pyarrow").materialize()
-            # an empty side crashes Ray 2.49's hash-shuffle join
-            # (HashShuffleAggregator.finalize ArrowInvalid) and an empty
-            # RESULT would lose its schema (zero blocks) — short-circuit
-            # empty sides and keep an explicitly-typed empty table in the
-            # plan so downstream consumers always see the output columns
-            empty_tbl = pa.table({k: [] for k in keys})
-            for s in (left_enc.schema(), right_enc.schema()):
-                bs = getattr(s, "base_schema", None)
-                if bs is not None and all(c in bs.names for c in keys):
-                    empty_tbl = pa.schema(
-                        [bs.field(c) for c in keys]).empty_table()
-                    break
-            if left_enc.count() == 0 or \
-                    (stmt.op == "INTERSECT" and right_enc.count() == 0):
-                return _tag_columns(rd.from_arrow(empty_tbl), list(keys))
-            if stmt.op == "EXCEPT" and right_enc.count() == 0 \
-                    and not stmt.all:
-                out = left_enc.map_batches(DropColumns(list(enc_keys)),
-                                           batch_format="pyarrow")
-                return _tag_columns(_distinct(out, names=list(keys)),
-                                    list(keys))
-            if stmt.all:
-                # EXCEPT ALL / INTERSECT ALL: bag semantics — per-row-value
-                # multiplicities on each side; a row appears max(l-r, 0)
-                # (EXCEPT) or min(l, r) (INTERSECT) times. Per-batch
-                # combiners reduce each side to (key, count) partials, the
-                # sides union with a side tag, and ONE key-bucket shuffle
-                # co-locates a key's partials (Dataset.join is avoided:
-                # its hash shuffle crashes on sparse empty partitions).
-                ekeys = list(enc_keys)
-
-                def count_side(side: int):
-                    def fn(t: pa.Table, _s=side) -> pa.Table:
-                        g = t.select(ekeys).group_by(
-                            ekeys, use_threads=False).aggregate(
-                            [([], "count_all")])
-                        cnt = g.column("count_all")
-                        g = g.drop_columns(["count_all"])
-                        g = g.append_column(
-                            "__cnt", pc.cast(cnt, pa.int64()))
-                        return g.append_column(
-                            "__side", pa.nulls(len(g), pa.int8())
-                            .fill_null(_s))
-                    return fn
-
-                both = left_enc.map_batches(
-                    count_side(0), batch_format="pyarrow").union(
-                    right_enc.map_batches(count_side(1),
-                                          batch_format="pyarrow"))
-                both = both.materialize()
-
-                def merge(df: pd.DataFrame, _op=stmt.op) -> pd.DataFrame:
-                    df["__l"] = np.where(df["__side"] == 0, df["__cnt"], 0)
-                    df["__r"] = np.where(df["__side"] == 1, df["__cnt"], 0)
-                    agg = df.groupby(ekeys, sort=False, as_index=False)[
-                        ["__l", "__r"]].sum()
-                    k = np.maximum(agg["__l"] - agg["__r"], 0) \
-                        if _op == "EXCEPT" \
-                        else np.minimum(agg["__l"], agg["__r"])
-                    rep = agg.loc[np.repeat(agg.index, k.to_numpy()), ekeys]
-                    return rep.reset_index(drop=True)
-
-                if both.count() <= self.SMALL_PARTIALS_LIMIT:
-                    out = both.repartition(1).map_batches(
-                        merge, batch_format="pandas", batch_size=None)
-                else:
-                    nb = max(32, num_cpus * 4)
-                    out = both.map_batches(
-                        AddBucketCol(ekeys, nb, "__sb"),
-                        batch_format="pyarrow").groupby("__sb").map_groups(
-                        merge, batch_format="pandas")
-                    out = out.map_batches(DropColumns(["__sb"]),
-                                          batch_format="pyarrow")
-                out = out.map_batches(_DecodeNullSafeKeys(list(keys)),
-                                      batch_format="pyarrow")
-                return _tag_columns(out, list(keys))
-            out = _shuffle_join(left_enc, right_enc, join_type=join_type,
-                                num_partitions=_join_partitions(num_cpus),
-                                on=enc_keys)
-            out = out.map_batches(DropColumns(list(enc_keys)),
-                                  batch_format="pyarrow")
-            # ANSI EXCEPT/INTERSECT emit distinct rows
-            res = _distinct(out, names=list(keys))
-            if res.schema() is None:
-                # an all-matched anti join leaves only zero-row blocks,
-                # which Ray drops at materialize — the empty result must
-                # still report its typed output columns
-                res = rd.from_arrow(empty_tbl)
-            return res
+            keys = list(left_f.columns) or list(left_f.ds.schema().names)
+            # each arm shrinks per batch to its key counts; one exchange
+            # sums a key's counts over both arms and keeps its rows
+            both = left_f.ds.map_batches(
+                ArmCounts(keys, "__l"), batch_format="pyarrow").union(
+                right_ds.map_batches(ArmCounts(keys, "__r"),
+                                     batch_format="pyarrow"))
+            return _tag_columns(
+                _row_exchange(both, keys, SetOpRows(keys, stmt.op, stmt.all)),
+                keys)
         if isinstance(stmt, A.Values):
             return self.compile_values(stmt, ())
         raise ValueError(f"not a query: {type(stmt).__name__}")
@@ -2804,7 +2754,7 @@ class Compiler:
             batch_format="pyarrow").map_batches(
             _FoldGroups(key_names, f"__a{i}", fold, "__sk", pa.binary()),
             batch_format="pyarrow")
-        return self._exchange(
+        return exchange(
             ds2, key_names,
             _FoldGroups(key_names, "__sk", finish, f"__r{i}", out_type),
             ["__sk"])
@@ -4419,7 +4369,7 @@ class Compiler:
             if all(c.distinct for c in agg_calls):
                 ds2 = ds2.map_batches(_arrow_distinct, batch_format="pyarrow")
             exact = ExactAgg(key_names, aggs, env)
-            out = self._exchange(ds2, key_names, exact, exact.arg_cols)
+            out = exchange(ds2, key_names, exact, exact.arg_cols)
         else:
             ds2 = frame.ds.map_batches(
                 PreAgg(key_exprs, key_names, aggs, env), batch_format="pyarrow")
@@ -4427,7 +4377,7 @@ class Compiler:
                 out = self._compile_grouping_sets(
                     ds2, sel.grouping_sets, key_names, aggs)
             else:
-                out = self._exchange(
+                out = exchange(
                     ds2, key_names, MergePartialsTask(key_names, aggs),
                     [name for name, _ in _merge_plan(aggs)])
             out = out.map_batches(CombinePartials(aggs), batch_format="pyarrow")
@@ -4499,34 +4449,9 @@ class Compiler:
         frame2._drop_cols = extra_names  # type: ignore[attr-defined]
         return frame2
 
-    # inputs of an exchange up to this many rows finish in one task
+    # inputs of an exchange() up to this many rows finish in one task
     # instead of a key-hash bucket shuffle
     SMALL_PARTIALS_LIMIT = 2_000_000
-
-    def _exchange(self, ds: rd.Dataset, keys, fn, cols) -> rd.Dataset:
-        """Run ``fn`` over all rows of each group of ``keys``: the one
-        exchange of GROUP BY (partial merges, exact and approximate
-        aggregates). Without keys, or over at most SMALL_PARTIALS_LIMIT
-        rows, one task runs ``fn`` over the whole input, with no shuffle
-        barrier; otherwise a key-hash bucket shuffle hands ``fn`` whole
-        groups. A global aggregate is one row even over no input: ``fn``
-        then runs over an empty table of columns ``cols``."""
-        ds = ds.materialize()
-        nrows = ds.count()
-        if not keys and nrows == 0:
-            # Ray skips the UDF on empty blocks
-            return rd.from_arrow(fn(_empty_table(ds, cols)))
-        if not keys or nrows <= self.SMALL_PARTIALS_LIMIT:
-            return ds.repartition(1).map_batches(
-                fn, batch_format="pyarrow", batch_size=None)
-
-        def in_bucket(t: pa.Table, _fn=fn) -> pa.Table:
-            return _fn(t)  # map_groups wants a named function
-
-        return ds.map_batches(
-            AddBucketCol(keys, _shuffle_buckets(), "__db"),
-            batch_format="pyarrow") \
-            .groupby("__db").map_groups(in_bucket, batch_format="pyarrow")
 
     def _compile_grouping_sets(self, ds2: rd.Dataset, grouping_sets,
                                key_names, aggs) -> rd.Dataset:
@@ -4541,8 +4466,8 @@ class Compiler:
         aligned to one canonical schema (missing keys → typed NULLs) plus
         __gm{j} mask columns backing GROUPING(key)."""
         names = [name for name, _ in _merge_plan(aggs)]
-        finest = self._exchange(ds2, key_names,
-                                MergePartialsTask(key_names, aggs), names) \
+        finest = exchange(ds2, key_names,
+                          MergePartialsTask(key_names, aggs), names) \
             .materialize()
         schema = finest.schema()
         if schema is None:
@@ -4556,7 +4481,7 @@ class Compiler:
         pieces = []
         for gs in grouping_sets:
             subset = [key_names[i] for i in gs]
-            piece = finest if frozenset(gs) == full else self._exchange(
+            piece = finest if frozenset(gs) == full else exchange(
                 finest, subset, MergePartialsTask(subset, aggs), names)
             pieces.append(piece.map_batches(
                 _AlignGroupingSet(key_names, types, names, frozenset(gs)),
@@ -5171,45 +5096,25 @@ def _arrow_distinct(t: pa.Table) -> pa.Table:
 
 
 def _distinct(ds: rd.Dataset, names: Optional[list] = None) -> rd.Dataset:
-    """Global DISTINCT, scale shape: per-batch dedup (combiner) → coarse
-    bucket-hash shuffle (hash(row) % ~4×cores: every duplicate of a row
-    lands in ONE bucket group) → exact Arrow dedup inside each group.
-    O(#buckets) group dispatches — NOT one per distinct row (the old
-    ``groupby(all_cols).map_groups(head1)`` was the slowest stage in the
-    bench and a 100×-scale killer). Pass ``names`` when known to avoid a
-    schema() call on a lazy pipeline."""
+    """Global DISTINCT: a per-batch Arrow dedup (combiner), then one
+    exchange() dedups whole groups of rows across batches. Pass ``names``
+    when known to avoid a schema() call on a lazy pipeline."""
     if names is None:
         sch = ds.schema()
         names = sch.names if sch is not None else []
-    def local_dedup(batch: pa.Table) -> pa.Table:
-        return _arrow_distinct(batch)
+    return _row_exchange(
+        ds.map_batches(_arrow_distinct, batch_format="pyarrow"), names,
+        _arrow_distinct)
 
-    def bucket_dedup(t: pa.Table) -> pa.Table:
-        return _arrow_distinct(t)
 
-    # adaptive plan (the combiner already ran): small distinct sets finish
-    # driver-side in one Arrow kernel — no second pipeline execution, no
-    # sort-shuffle barrier; large sets take the bucket shuffle. The
-    # materialize is the same barrier the sort would impose, and the
-    # bucket path re-reads the materialized blocks, not the source.
-    combined = ds.map_batches(local_dedup,
-                              batch_format="pyarrow").materialize()
-    if combined.count() <= Compiler.SMALL_PARTIALS_LIMIT and \
-            (combined.size_bytes() or 0) <= (256 << 20):
-        tables = [t for t in combined.iter_batches(batch_size=None,
-                                                   batch_format="pyarrow")
-                  if t.num_columns]
-        if not tables:
-            return combined
-        schema = pa.unify_schemas([t.schema for t in tables])
-        merged = pa.concat_tables([t.cast(schema) for t in tables])
-        return rd.from_arrow(_arrow_distinct(merged))
-    return (combined
-            .map_batches(AddBucketCol(names, _shuffle_buckets(), "__db"),
-                         batch_format="pyarrow")
-            .groupby("__db")
-            .map_groups(bucket_dedup, batch_format="pyarrow")
-            .map_batches(DropColumns(["__db"]), batch_format="pyarrow"))
+def _row_exchange(ds: rd.Dataset, keys, fn) -> rd.Dataset:
+    """exchange() of a kernel that returns rows of the columns ``keys``
+    (DISTINCT, EXCEPT/INTERSECT [ALL]). An empty result keeps those
+    columns, typed from ``ds`` when it has them: Ray drops zero-row
+    blocks."""
+    ds = ds.materialize()
+    out = exchange(ds, keys, fn).materialize()
+    return out if out.count() else rd.from_arrow(_empty_table(ds, keys))
 
 
 # public name for reuse outside the SQL compiler (ops.dedup etc.)

@@ -10,9 +10,9 @@ Usage:
                                      [--bucket-route]
 
 ``--bucket-route`` sets ``Compiler.SMALL_PARTIALS_LIMIT = 0`` in this
-process, so every keyed GROUP BY, DISTINCT and window takes the key-hash
-bucket route instead of the one-task finish (a test switch, not an engine
-option).
+process, so every keyed GROUP BY, DISTINCT, set op and window takes the
+key-hash bucket route instead of the one-task finish (a test switch, not an
+engine option).
 
 Prints one line per mismatch/error and a summary; exit 1 on any mismatch.
 Found bugs get distilled into pinned regression tests (tests/test_fuzz_regressions.py).
@@ -225,14 +225,23 @@ def gen_window_query(rng: random.Random):
     return q, q, True
 
 
+def setop_arms(g: "Gen", rng: random.Random):
+    """Select lists of the two arms of a set op: 1-3 key columns of mixed
+    types, each pair of columns of one kind (int, float, str or ts)."""
+    kinds = [k for k in ("int", "float", "str", "ts") if g.t[k]]
+    pairs = [(g.col(k), g.col(k)) for k in
+             (rng.choice(kinds) for _ in range(rng.randint(1, 3)))]
+    return tuple(", ".join(f"{p[i]} AS c{j}" for j, p in enumerate(pairs))
+                 for i in (0, 1))
+
+
 def gen_setop_query(rng: random.Random):
     table = rng.choice(list(TABLES))
     g = Gen(rng, table)
-    c1, c2 = g.col("str"), g.col("str")
+    s1, s2 = setop_arms(g, rng)
     op = rng.choice(["EXCEPT", "INTERSECT"])
     w1 = f" WHERE {g.predicate()}" if rng.random() < 0.6 else ""
-    q = (f"SELECT {c1} AS c0 FROM {table}{w1} "
-         f"{op} SELECT {c2} AS c0 FROM {table}")
+    q = f"SELECT {s1} FROM {table}{w1} {op} SELECT {s2} FROM {table}"
     return q, q, True
 
 
@@ -689,12 +698,11 @@ def gen_setop_all_query(rng: random.Random):
     # and min(l,r)); arms differ by a predicate so counts actually diverge
     table = rng.choice(list(TABLES))
     g = Gen(rng, table)
-    c = g.col("str")
+    s1, _ = setop_arms(g, rng)
     op = rng.choice(["EXCEPT ALL", "INTERSECT ALL"])
     w1 = f" WHERE {g.predicate()}" if rng.random() < 0.7 else ""
     w2 = f" WHERE {g.predicate()}" if rng.random() < 0.7 else ""
-    q = (f"SELECT {c} AS c0 FROM {table}{w1} "
-         f"{op} SELECT {c} AS c0 FROM {table}{w2}")
+    q = f"SELECT {s1} FROM {table}{w1} {op} SELECT {s1} FROM {table}{w2}"
     return q, q, True
 
 

@@ -2,12 +2,13 @@
 
 1. outer joins with non-equi ON residuals must keep unmatched rows
 2. QUALIFY must survive positional GROUP BY/ORDER BY resolution
-3. EXCEPT/INTERSECT treat NULLs as not-distinct (ANSI)
+3. EXCEPT/INTERSECT treat NULLs as not-distinct (ANSI), and NaNs too
 4. cumulative window aggregates use the ANSI default RANGE frame (peers
    tied on the order key share a value)
 5. ORDER BY on a nullable column must not crash Ray's sort partitioner
 """
 
+import math
 import os
 
 import duckdb
@@ -31,6 +32,19 @@ def nullable_tables(ray_session, tmp_path_factory):
                   "x": [1, 2, 3, 1, 2, 5],
                   "n": [10, 20, 30, 40, 50, 60]}),
         os.path.join(d, "w.parquet"))
+    # set-op arms: mixed-type keys with NULLs, NaNs and duplicates on both
+    # sides; (NaN, 'y') twice on the left, once on the right
+    nan = float("nan")
+    pq.write_table(pa.table({
+        "a": pa.array([1, 1, 1, 2, 2, None, None, None, 3, 4], pa.int64()),
+        "s": ["x", "x", "x", "y", "y", None, None, "z", None, "w"],
+        "f": [1.5, 1.5, nan, nan, nan, None, None, 2.5, nan, 0.0]}),
+        os.path.join(d, "l.parquet"))
+    pq.write_table(pa.table({
+        "a": pa.array([1, 2, None, None, None, 3, 5], pa.int64()),
+        "s": ["x", "y", None, None, None, None, "v"],
+        "f": [1.5, nan, None, None, None, nan, 7.0]}),
+        os.path.join(d, "r.parquet"))
     return d
 
 
@@ -43,7 +57,7 @@ def eng(nullable_tables):
 
 def duck_on(d):
     con = duckdb.connect()
-    for name in ("t", "u", "w"):
+    for name in ("t", "u", "w", "l", "r"):
         con.execute(f"CREATE VIEW {name} AS SELECT * FROM "
                     f"read_parquet('{os.path.join(d, name)}.parquet')")
     return con
@@ -85,6 +99,30 @@ class TestQualifyPositional:
         assert_frames_match(mine, oracle)
 
 
+SET_OPS = ["EXCEPT", "INTERSECT", "EXCEPT ALL", "INTERSECT ALL"]
+
+
+def _rows(result):
+    """Sorted rows of a Ray Dataset or a DuckDB cursor, each value tagged
+    (0 NULL, 1 NaN, 2 value) so that NULL and NaN stay apart."""
+    import ray
+
+    if hasattr(result, "fetchall"):
+        rows = result.fetchall()
+    else:
+        rows = [tuple(r.values()) for t in ray.get(result.to_arrow_refs())
+                for r in t.to_pylist()]
+
+    def tag(v):
+        if v is None:
+            return (0, "")
+        if isinstance(v, float) and math.isnan(v):
+            return (1, "nan")
+        return (2, v)
+
+    return sorted(tuple(tag(v) for v in r) for r in rows)
+
+
 class TestSetOpNulls:
     def test_intersect_keeps_null_rows(self, eng, nullable_tables):
         sql = "SELECT k FROM t INTERSECT SELECT k FROM t"
@@ -102,6 +140,57 @@ class TestSetOpNulls:
         mine = eng.sql(sql).to_pandas()
         oracle = duck_on(nullable_tables).execute(sql).df()
         assert_frames_match(mine, oracle)  # {3}: NULL ∈ u removes NULL row
+
+    @pytest.mark.parametrize("op", ["INTERSECT ALL", "EXCEPT ALL"])
+    def test_all_keeps_nan_rows(self, eng, nullable_tables, op):
+        # NaN keys group together, as in DuckDB: (NaN, 'y') is kept once
+        sql = f"SELECT f, s FROM l {op} SELECT f, s FROM r"
+        mine = _rows(eng.sql(sql))
+        assert mine == _rows(duck_on(nullable_tables).execute(sql))
+        assert ((1, "nan"), (2, "y")) in mine
+
+    @pytest.mark.parametrize("op", SET_OPS)
+    def test_plan_has_no_join(self, eng, monkeypatch, op):
+        import ray.data as rd
+
+        joins = []
+        join = rd.Dataset.join
+
+        def spy(self, *a, **kw):
+            joins.append(kw.get("join_type"))
+            return join(self, *a, **kw)
+
+        monkeypatch.setattr(rd.Dataset, "join", spy)
+        ds = eng.sql(f"SELECT a, s, f FROM l {op} SELECT a, s, f FROM r")
+        ds.materialize()
+        assert joins == [] and "Join" not in ds.stats()
+
+    @pytest.mark.parametrize("route", ["default", "bucket"])
+    @pytest.mark.parametrize("op", SET_OPS + ["UNION DISTINCT", "DISTINCT"])
+    def test_oracle_table(self, eng, nullable_tables, monkeypatch, route,
+                          op):
+        """Each op over 3-column mixed-type keys, with either side, both
+        sides or neither side empty, on the one-task route and on the
+        key-hash bucket route of the exchange."""
+        from qwery_ray.sqlc.compiler import Compiler
+
+        if route == "bucket":
+            monkeypatch.setattr(Compiler, "SMALL_PARTIALS_LIMIT", 0)
+        con = duck_on(nullable_tables)
+        none = " WHERE a > 99"
+        for lw, rw in (("", ""), (none, ""), ("", none), (none, none)):
+            if op == "DISTINCT":
+                sql = f"SELECT DISTINCT a, s, f FROM l{lw or rw}"
+                typed = not (lw or rw)
+            else:
+                sql = f"SELECT a, s, f FROM l{lw} {op} SELECT a, s, f FROM r{rw}"
+                typed = not (lw and rw)  # an arm with rows gives the types
+            ds = eng.sql(sql)
+            assert _rows(ds) == _rows(con.execute(sql)), sql
+            assert ds.schema().names == ["a", "s", "f"], sql
+            if typed:
+                assert ds.schema().types == \
+                    [pa.int64(), pa.string(), pa.float64()], sql
 
 
 class TestWindowRangeFrame:

@@ -225,3 +225,49 @@ class TestStreamingFuzz:
             assert total + agg2.late_dropped == len(secs)
 
         run()
+
+
+class TestBatchWindowsBothRoutes:
+    """ops.windows over the one-task and the key-hash bucket route of the
+    exchange, against DuckDB; NULL user ids form one session key, as in
+    the SQL oracle's PARTITION BY."""
+
+    @pytest.mark.parametrize("route", ["default", "bucket"])
+    def test_matches_duckdb(self, ray_session, monkeypatch, route):
+        import duckdb
+
+        from qwery_ray.ops.windows import session_window_agg
+        from qwery_ray.pipelines.driver_queries import (
+            session_window_oracle, sliding_window_oracle)
+        from qwery_ray.sqlc.compiler import Compiler
+
+        if route == "bucket":
+            monkeypatch.setattr(Compiler, "SMALL_PARTIALS_LIMIT", 0)
+        rng = np.random.default_rng(3)
+        n = 3000
+        events = pa.table({
+            "ts": pa.array(rng.integers(0, 3 * 86400, n) * 1_000_000)
+            .cast(pa.timestamp("us")),
+            "user_id": pa.array(np.where(rng.random(n) < 0.05, None,
+                                         rng.integers(0, 40, n)), pa.int64()),
+            "value": pa.array(np.round(rng.random(n) * 100, 2)),
+        })
+        ds = rd.from_arrow(events).repartition(5)
+        con = duckdb.connect()
+        con.register("events", events)
+
+        def rows(res):
+            return sorted(tuple((v is None, v) for v in r) for r in res)
+
+        got = session_window_agg(ds, key_col="user_id", ts_col="ts")
+        assert rows(tuple(r.values()) for r in got.take_all()) == \
+            rows(con.execute(session_window_oracle()).fetchall())
+        got = sliding_window_agg(ds, width_sec=14400, slide_sec=3600) \
+            .to_pandas().sort_values("window_start_sec")
+        want = con.execute(sliding_window_oracle()).df() \
+            .sort_values("window_start_sec")
+        assert got["window_start_sec"].tolist() == \
+            want["window_start_sec"].tolist()
+        assert got["n_events"].tolist() == want["n_events"].tolist()
+        np.testing.assert_allclose(got["total_value"], want["total_value"],
+                                   rtol=1e-12)
